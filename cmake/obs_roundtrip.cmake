@@ -11,48 +11,12 @@
 #   -DOBS_REPORT=<path to the obs_report binary>
 #   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
 #   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT SWEEP_ORCHESTRATE OR NOT OBS_REPORT OR
-   NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_SHARD=... -DSWEEP_ORCHESTRATE=... "
-    "-DOBS_REPORT=... -DSPEC_FILE=... -DWORK_DIR=...")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
+roundtrip_begin(SWEEP_SHARD SWEEP_ORCHESTRATE OBS_REPORT SPEC_FILE WORK_DIR)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-function(run_tool tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${tool} ${ARGN} exited ${rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-# Same, but with SPROUT_OBS=1 in the child's environment.
-function(run_tool_obs tool)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E env SPROUT_OBS=1
-    ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "SPROUT_OBS=1 ${tool} ${ARGN} exited ${rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what}: ${WORK_DIR}/${a} differs from ${WORK_DIR}/${b}")
-  endif()
+# Same as run_tool, but with SPROUT_OBS=1 in the child's environment.
+function(run_tool_obs)
+  run_tool(${CMAKE_COMMAND} -E env SPROUT_OBS=1 ${ARGN})
 endfunction()
 
 # The untelemetered reference.

@@ -11,47 +11,15 @@
 #   -DSWEEP_SHARD=<path to the sweep_shard binary>
 #   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
 #   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_ORCHESTRATE OR NOT SWEEP_SHARD OR NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_ORCHESTRATE=... -DSWEEP_SHARD=... "
-    "-DSPEC_FILE=... -DWORK_DIR=...")
-endif()
-
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-# Like run_tool, but demands a SPECIFIC exit code — the orchestrator's
-# halted (4) and poisoned (3) outcomes are contracts, not failures.
-function(run_expect expected_rc tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL expected_rc)
-    message(FATAL_ERROR
-      "${tool} ${ARGN} exited ${rc}, expected ${expected_rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(run_tool tool)
-  run_expect(0 ${tool} ${ARGN})
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what}: ${WORK_DIR}/${a} differs from ${WORK_DIR}/${b}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
+roundtrip_begin(SWEEP_ORCHESTRATE SWEEP_SHARD SPEC_FILE WORK_DIR)
 
 # The single-process reference.
 run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out full.json)
 
 # --- kill mid-run, resume ------------------------------------------------
-# Two cells in, every worker is SIGKILLed (exit 4, journals kept)...
+# Two cells in, every worker is SIGKILLed (exit 4, journals kept; the
+# halted and poisoned exit codes are contracts, hence run_expect)...
 run_expect(4 ${SWEEP_ORCHESTRATE} run --spec ${SPEC_FILE}
   --journal-dir jkill --out orch.json --workers 2 --halt-after 2 --quiet)
 # ...and re-running the same command resumes to the same bytes.

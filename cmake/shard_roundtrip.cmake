@@ -3,42 +3,21 @@
 # file byte-identical to the single-process run's.  Expects:
 #   -DSWEEP_SHARD=<path to the sweep_shard binary>
 #   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_SHARD=... and -DWORK_DIR=...")
-endif()
-
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
+roundtrip_begin(SWEEP_SHARD WORK_DIR)
 
 set(GRID --grid coexistence-smoke --seconds 10 --base-seed 42)
 
-function(run_step)
-  execute_process(COMMAND ${SWEEP_SHARD} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "sweep_shard ${ARGN} failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
-
 # Three shard processes (any of these could run on another machine)...
 foreach(i RANGE 1 3)
-  run_step(run ${GRID} --shard ${i}/3 --out shard${i}.json)
+  run_tool(${SWEEP_SHARD} run ${GRID} --shard ${i}/3 --out shard${i}.json)
 endforeach()
 # ...one merge, verified against the grid's content address...
-run_step(merge ${GRID} --out merged.json
-         shard1.json shard2.json shard3.json)
+run_tool(${SWEEP_SHARD} merge ${GRID} --out merged.json
+  shard1.json shard2.json shard3.json)
 # ...and the single-process reference.
-run_step(run ${GRID} --out full.json)
+run_tool(${SWEEP_SHARD} run ${GRID} --out full.json)
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/merged.json ${WORK_DIR}/full.json
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "merged 3-shard sweep differs from the single-process run "
-    "(${WORK_DIR}/merged.json vs ${WORK_DIR}/full.json)")
-endif()
+require_same(merged.json full.json
+  "merged 3-shard sweep differs from the single-process run")
 message(STATUS "3-shard merge is byte-identical to the single-process sweep")

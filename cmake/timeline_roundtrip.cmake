@@ -13,35 +13,8 @@
 #   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
 #   -DTOWER_SPEC_FILE=<path to specs/tower_smoke.json>
 #   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT TIMELINE_REPORT OR NOT SPEC_FILE OR
-   NOT TOWER_SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_SHARD=... -DTIMELINE_REPORT=... "
-    "-DSPEC_FILE=... -DTOWER_SPEC_FILE=... -DWORK_DIR=...")
-endif()
-
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-function(run_tool tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${tool} ${ARGN} exited ${rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what}: ${WORK_DIR}/${a} differs from ${WORK_DIR}/${b}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
+roundtrip_begin(SWEEP_SHARD TIMELINE_REPORT SPEC_FILE TOWER_SPEC_FILE WORK_DIR)
 
 # The recorder-off reference.
 run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out off.json --threads 1)

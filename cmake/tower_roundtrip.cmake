@@ -8,24 +8,8 @@
 #   -DSPEC_LINT=<path to the spec_lint binary>
 #   -DSPEC_FILE=<path to specs/tower_smoke.json>
 #   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT SPEC_LINT OR NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR
-    "need -DSWEEP_SHARD=... -DSPEC_LINT=... -DSPEC_FILE=... -DWORK_DIR=...")
-endif()
-
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-function(run_tool tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${tool} ${ARGN} failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
+roundtrip_begin(SWEEP_SHARD SPEC_LINT SPEC_FILE WORK_DIR)
 
 # The spec must lint (strict reader, shard plan preview included)...
 run_tool(${SPEC_LINT} ${SPEC_FILE} --shards 2)
@@ -38,12 +22,6 @@ run_tool(${SWEEP_SHARD} merge --spec ${SPEC_FILE} --out merged.json
 # ...and the single-process reference.
 run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out full.json)
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/merged.json ${WORK_DIR}/full.json
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "merged 2-shard tower sweep differs from the single-process run "
-    "(${WORK_DIR}/merged.json vs ${WORK_DIR}/full.json)")
-endif()
+require_same(merged.json full.json
+  "merged 2-shard tower sweep differs from the single-process run")
 message(STATUS "2-shard tower merge is byte-identical to the single-process sweep")

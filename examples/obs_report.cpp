@@ -21,26 +21,20 @@
 //
 // Exit codes: 0 ok, 1 invalid input, 2 usage.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "runner/shard.h"
+#include "util/file_io.h"
 #include "util/table.h"
 
 namespace {
 
 using sprout::JsonValue;
 using sprout::TableWriter;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using sprout::read_file;
+using sprout::write_file;
 
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
@@ -369,32 +363,13 @@ int cmd_validate_trace(const std::string& path) {
 
 // --- strip-runtime -------------------------------------------------------
 
-// Removes every `, "runtime": {...}` member the shard writer emits.  The
-// writer produces the member in exactly one shape (flat object, no nested
-// braces), so a textual erase reproduces the untelemetered byte stream —
-// which is the point: the output must byte-diff clean against a run that
-// never recorded runtime, and a parse/re-serialize round trip could not
-// promise that.
+// Removes every "runtime" stamp (sprout::strip_json_member), so the output
+// byte-diffs clean against a run that never recorded runtime.
 int cmd_strip_runtime(const std::string& in_path,
                       const std::string& out_path) {
   std::string text = read_file(in_path);
-  (void)JsonValue::parse(text);  // refuse to "fix" a damaged file
-  const std::string needle = ", \"runtime\": {";
-  std::size_t stripped = 0;
-  std::size_t at = 0;
-  while ((at = text.find(needle, at)) != std::string::npos) {
-    const std::size_t close = text.find('}', at + needle.size());
-    require(close != std::string::npos, in_path,
-            "unterminated runtime object");
-    text.erase(at, close + 1 - at);
-    ++stripped;
-  }
-  (void)JsonValue::parse(text);  // the erase must leave valid JSON
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out << text;
-  out.flush();
-  if (!out) throw std::runtime_error("write to " + out_path + " failed");
+  const std::size_t stripped = sprout::strip_json_member(text, "runtime");
+  write_file(out_path, [&](std::ostream& os) { os << text; });
   std::cout << in_path << " -> " << out_path << " (" << stripped
             << " runtime stamps removed)\n";
   return 0;

@@ -40,15 +40,14 @@
 // Exit codes: 0 complete, 1 error, 2 usage, 3 poisoned cells (sweep
 // incomplete; journals keep the finished cells), 4 halted by --halt-after.
 #include <climits>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "runner/orchestrator.h"
 #include "spec/builtin.h"
 #include "spec/grid.h"
+#include "util/file_io.h"
 #include "util/table.h"
 
 namespace {
@@ -60,15 +59,6 @@ using namespace sprout;
 struct UsageError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
-
-template <typename WriteFn>
-void write_file(const std::string& path, WriteFn&& write) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  write(out);
-  out.flush();
-  if (!out) throw std::runtime_error("write to " + path + " failed");
-}
 
 // Strict integer parse: the whole token must be the number.  std::atoi
 // would read "4x" as 4 and overflow silently — exactly the class of bug

@@ -33,7 +33,6 @@
 // fingerprint turns any disagreement into a hard error instead of a
 // silently different grid.  Mixing --shard strategies across one grid's
 // shards is rejected at merge by the recorded partition stamps.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -43,31 +42,12 @@
 #include "spec/builtin.h"
 #include "spec/grid.h"
 #include "spec/plan.h"
+#include "util/file_io.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace sprout;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-template <typename WriteFn>
-void write_file(const std::string& path, WriteFn&& write) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  write(out);
-  // Flush before checking: a full disk surfacing in the destructor's
-  // implicit flush would otherwise exit 0 with a truncated file, and the
-  // orchestrator gating on exit codes would feed it to the merge.
-  out.flush();
-  if (!out) throw std::runtime_error("write to " + path + " failed");
-}
 
 // Where the grid comes from and how shards are cut from it.
 struct GridSource {

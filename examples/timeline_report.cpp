@@ -30,37 +30,22 @@
 // Exit codes: 0 ok, 1 invalid input, 2 usage.
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "runner/shard.h"
 #include "util/ascii_plot.h"
+#include "util/file_io.h"
 #include "util/table.h"
 
 namespace {
 
 using sprout::AsciiPlotOptions;
 using sprout::JsonValue;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-template <typename WriteFn>
-void write_file(const std::string& path, WriteFn&& write) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  write(out);
-  out.flush();
-  if (!out) throw std::runtime_error("write to " + path + " failed");
-}
+using sprout::read_file;
+using sprout::write_file;
 
 void require(bool ok, const std::string& context, const std::string& what) {
   if (!ok) throw std::runtime_error(context + ": " + what);
@@ -371,25 +356,12 @@ int cmd_validate(const std::string& path) {
 
 // --- strip-timeline ------------------------------------------------------
 
-// Removes every `, "timeline": {...}` member the shard writer emits.  The
-// writer produces the member in exactly one shape — geometry fields plus
-// an array of 9-element ARRAYS, so the object contains no nested braces —
-// and the textual erase reproduces the timeline-off byte stream exactly,
-// which a parse/re-serialize round trip could not promise.
+// Removes every "timeline" member (sprout::strip_json_member; the member is
+// geometry fields plus an array of 9-element ARRAYS, so it holds no nested
+// braces), reproducing the timeline-off byte stream exactly.
 int cmd_strip(const std::string& in_path, const std::string& out_path) {
   std::string text = read_file(in_path);
-  (void)JsonValue::parse(text);  // refuse to "fix" a damaged file
-  const std::string needle = ", \"timeline\": {";
-  std::size_t stripped = 0;
-  std::size_t at = 0;
-  while ((at = text.find(needle, at)) != std::string::npos) {
-    const std::size_t close = text.find('}', at + needle.size());
-    require(close != std::string::npos, in_path,
-            "unterminated timeline object");
-    text.erase(at, close + 1 - at);
-    ++stripped;
-  }
-  (void)JsonValue::parse(text);  // the erase must leave valid JSON
+  const std::size_t stripped = sprout::strip_json_member(text, "timeline");
   write_file(out_path, [&](std::ostream& os) { os << text; });
   std::cout << in_path << " -> " << out_path << " (" << stripped
             << " timelines removed)\n";

@@ -16,15 +16,14 @@
 //
 // Exit codes: 0 ok, 1 generation/IO failure, 2 usage.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "spec/synth_io.h"
 #include "synth/synth.h"
 #include "util/ascii_plot.h"
+#include "util/file_io.h"
 #include "util/table.h"
 
 namespace {
@@ -37,14 +36,6 @@ int usage() {
       "                   [--duration S] [--seed N] [--out TRACE.tr]\n"
       "                   [--plot] [--bin S]\n";
   return 2;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 // Delivered rate per bin, as an ASCII timeline: one row per bin, bar

@@ -21,6 +21,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/file_io.h"
 #include "util/table.h"
 
 namespace sprout {
@@ -1067,11 +1068,7 @@ JournalScan read_journal(std::string_view text, const std::string& label,
 
 JournalScan read_journal_file(const std::string& path,
                               bool allow_truncated_tail) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return read_journal(os.str(), path, allow_truncated_tail);
+  return read_journal(read_file(path), path, allow_truncated_tail);
 }
 
 ShardResult shard_from_journal(const JournalScan& scan) {

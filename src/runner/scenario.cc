@@ -740,10 +740,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
                                     r.coactive_capacity_kbps
                               : 0.0;
     }
-    if (spec.capture_series) {
-      fr.series =
-          throughput_delay_series(m, TimePoint{}, meas_to, spec.series_bin);
-    }
     // Aggregate as bytes over the MEASUREMENT window: each flow's rate is
     // weighted by its own window length, so staggered flows contribute
     // the bytes delivered inside their activity windows and utilization
@@ -778,10 +774,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
       fwd_link.trace(), 95.0, meas_from, meas_to, spec.propagation_delay_fwd);
   r.packets_delivered = fwd_link.delivered_packets();
   r.link_drops = fwd_link.random_drops() + fwd_link.queue_drops();
-  if (spec.capture_series) {
-    r.capacity_series = capacity_series(fwd_link.trace(), TimePoint{}, meas_to,
-                                        spec.series_bin);
-  }
   return r;
 }
 
@@ -940,10 +932,6 @@ ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
       fr.timeline = rec->finalize(&down_link.trace(), tunnel_link_rec.get());
     }
     fr.coactive_throughput_kbps = fr.throughput_kbps;
-    if (spec.capture_series) {
-      fr.series =
-          throughput_delay_series(m, TimePoint{}, to, spec.series_bin);
-    }
     r.aggregate_throughput_kbps += fr.throughput_kbps;
     r.max_delay95_ms = std::max(r.max_delay95_ms, fr.delay95_ms);
     r.flows.push_back(std::move(fr));
@@ -964,10 +952,6 @@ ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
       down_link.trace(), 95.0, from, to, spec.propagation_delay_fwd);
   r.packets_delivered = down_link.delivered_packets();
   r.link_drops = down_link.random_drops() + down_link.queue_drops();
-  if (spec.capture_series) {
-    r.capacity_series =
-        capacity_series(down_link.trace(), TimePoint{}, to, spec.series_bin);
-  }
   return r;
 }
 
@@ -1080,11 +1064,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, ScenarioCache* cache) {
   // specs.
   validate_topology(spec.topology);
   if (spec.topology.kind == TopologySpec::Kind::kTower) {
-    if (spec.capture_series) {
-      throw std::invalid_argument(
-          "capture_series is not supported by the tower topology (streaming "
-          "metrics only)");
-    }
     if (spec.warmup >= spec.run_time) {
       throw std::invalid_argument("tower warmup must be < run_time");
     }

@@ -33,7 +33,6 @@
 #include "core/params.h"
 #include "metrics/histogram.h"
 #include "metrics/recorder.h"
-#include "metrics/timeseries.h"
 #include "runner/schemes.h"
 #include "synth/synth.h"
 #include "trace/presets.h"
@@ -177,7 +176,7 @@ struct TopologySpec {
   bool via_tunnel = false;  // kTunnelContention
   // kTower.  The tower owns its own link model (the PF cell), scheme
   // choice (the mix) and metrics geometry, so a tower scenario ignores
-  // ScenarioSpec::scheme / link / capture_series.
+  // ScenarioSpec::scheme / link.
   TowerSpec tower_spec;
 
   [[nodiscard]] static TopologySpec single_flow();
@@ -233,13 +232,12 @@ struct ScenarioSpec {
   double loss_rate_rev = 0.0;
   double sprout_confidence = 95.0;  // Figure 9 sweeps this
   std::uint64_t seed = 42;
-  bool capture_series = false;      // fill per-flow series (Fig. 1)
-  Duration series_bin = msec(500);
   // Flight recorder (metrics/recorder.h): when set, every flow in every
   // topology — tower included — records a fixed-bin timeline (forecast vs
   // realized capacity, queue depth, drops, per-bin delay) into
-  // FlowResult::timeline.  Pure observability: these two fields are
-  // EXCLUDED from scenario_fingerprint (unlike capture_series), so a
+  // FlowResult::timeline.  This is the one time-series engine: Figure 1's
+  // capacity/throughput/delay series are its columns.  Pure observability:
+  // these two fields are EXCLUDED from scenario_fingerprint, so a
   // timeline-on cell shares its fingerprint, derived seed and simulated
   // bytes with the timeline-off cell — which is what lets the
   // timeline_roundtrip ctest byte-diff a stripped timeline-on sweep
@@ -310,7 +308,6 @@ struct FlowResult {
   // flow_metrics(i).delay_stats() reports p50/p95/p99/p999 on EVERY
   // topology.
   DelayHistogram delay_hist;
-  std::vector<SeriesPoint> series;  // if spec.capture_series
   // Flight-recorder timeline (if spec.record_timeline).  Fingerprint-
   // ignored, merge-preserved, omitted from JSON when unconfigured, and
   // erasable via timeline_report strip-timeline.
@@ -388,7 +385,6 @@ struct ScenarioResult {
   double omniscient_delay95_ms = 0.0;    // baseline on the same trace
   std::int64_t packets_delivered = 0;    // forward link
   std::int64_t link_drops = 0;           // forward link random + queue drops
-  std::vector<SeriesPoint> capacity_series;  // if spec.capture_series
   // Population-wide per-packet delay histogram: the exact merge of every
   // flow's delay_hist.  Configured only for streaming topologies (tower).
   DelayHistogram population_delay_hist;

@@ -269,40 +269,17 @@ std::int64_t read_i64(const JsonValue& v) {
   return i;
 }
 
-void write_series(std::ostream& os, const std::vector<SeriesPoint>& series) {
-  os << '[';
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i > 0) os << ',';
-    const SeriesPoint& p = series[i];
-    os << '[';
-    json_double(os, p.time_s);
-    os << ',';
-    json_double(os, p.throughput_kbps);
-    os << ',';
-    json_double(os, p.max_delay_ms);
-    os << ',';
-    json_double(os, p.mean_delay_ms);
-    os << ']';
+// The retired Figure-1 series fields (ScenarioSpec::capture_series, now
+// FlowResult::timeline's job).  The sweep format keeps their keys as empty
+// arrays, so every file written before and after their removal stays
+// byte-stable; a non-empty one was written by a capture_series run and is
+// refused rather than silently dropped.
+void read_retired_series(const JsonValue& v, const char* key) {
+  if (!v.at(key).as_array().empty()) {
+    throw std::runtime_error(std::string("JSON: non-empty \"") + key +
+                             "\" (capture_series was retired; record a "
+                             "timeline instead)");
   }
-  os << ']';
-}
-
-std::vector<SeriesPoint> read_series(const JsonValue& v) {
-  std::vector<SeriesPoint> series;
-  series.reserve(v.as_array().size());
-  for (const JsonValue& e : v.as_array()) {
-    const auto& tuple = e.as_array();
-    if (tuple.size() != 4) {
-      throw std::runtime_error("JSON: series point is not a 4-tuple");
-    }
-    SeriesPoint p;
-    p.time_s = read_double(tuple[0]);
-    p.throughput_kbps = read_double(tuple[1]);
-    p.max_delay_ms = read_double(tuple[2]);
-    p.mean_delay_ms = read_double(tuple[3]);
-    series.push_back(p);
-  }
-  return series;
 }
 
 // Histograms travel as geometry + sparse [bin, count] pairs: a tower
@@ -446,9 +423,7 @@ void write_flow(std::ostream& os, const FlowResult& f) {
     os << ", \"timeline\": ";
     write_timeline(os, f.timeline);
   }
-  os << ", \"series\": ";
-  write_series(os, f.series);
-  os << '}';
+  os << ", \"series\": []}";
 }
 
 FlowResult read_flow(const JsonValue& v) {
@@ -470,7 +445,7 @@ FlowResult read_flow(const JsonValue& v) {
   f.delivered_bytes = read_i64(v.at("delivered_bytes"));
   if (v.has("delay_hist")) f.delay_hist = read_hist(v.at("delay_hist"));
   if (v.has("timeline")) f.timeline = read_timeline(v.at("timeline"));
-  f.series = read_series(v.at("series"));
+  read_retired_series(v, "series");
   return f;
 }
 
@@ -514,9 +489,7 @@ void write_result(std::ostream& os, const ScenarioResult& r) {
     os << ", \"peak_rss_bytes\": " << r.runtime.peak_rss_bytes
        << ", \"attempt\": " << r.runtime.attempt << '}';
   }
-  os << ", \"capacity_series\": ";
-  write_series(os, r.capacity_series);
-  os << '}';
+  os << ", \"capacity_series\": []}";
 }
 
 ScenarioResult read_result(const JsonValue& v) {
@@ -546,7 +519,7 @@ ScenarioResult read_result(const JsonValue& v) {
     r.runtime.peak_rss_bytes = read_i64(rt.at("peak_rss_bytes"));
     r.runtime.attempt = static_cast<int>(read_i64(rt.at("attempt")));
   }
-  r.capacity_series = read_series(v.at("capacity_series"));
+  read_retired_series(v, "capacity_series");
   return r;
 }
 
@@ -591,6 +564,21 @@ void write_scenario_result_json(std::ostream& os, const ScenarioResult& r) {
 
 ScenarioResult scenario_result_from_json(const JsonValue& v) {
   return read_result(v);
+}
+
+std::size_t strip_json_member(std::string& text, std::string_view key) {
+  // Valid JSON closes every object after it opens, so once the text
+  // parses, each needle has a '}' to erase up to.
+  (void)JsonValue::parse(text);
+  const std::string needle = ", \"" + std::string(key) + "\": {";
+  std::size_t stripped = 0;
+  std::size_t at = 0;
+  while ((at = text.find(needle, at)) != std::string::npos) {
+    text.erase(at, text.find('}', at + needle.size()) + 1 - at);
+    ++stripped;
+  }
+  (void)JsonValue::parse(text);  // a nested brace would break the erase
+  return stripped;
 }
 
 void write_shard_json(std::ostream& os, const ShardResult& shard) {

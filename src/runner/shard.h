@@ -124,4 +124,13 @@ void write_sweep_json(std::ostream& os, const SweepResult& sweep);
 void write_scenario_result_json(std::ostream& os, const ScenarioResult& r);
 [[nodiscard]] ScenarioResult scenario_result_from_json(const JsonValue& v);
 
+// Removes every optional `, "KEY": {...}` member the writers above emit,
+// returning how many were removed.  Such members ("runtime", "timeline")
+// are objects without nested braces, so an exact textual erase leaves the
+// bytes a run without them writes, which a parse/re-serialize round trip
+// could not promise.  Throws std::runtime_error when `text` is not valid
+// JSON (a damaged or truncated file is refused, never "fixed") or when the
+// erase would leave invalid JSON.
+std::size_t strip_json_member(std::string& text, std::string_view key);
+
 }  // namespace sprout

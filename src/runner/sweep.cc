@@ -196,8 +196,10 @@ std::uint64_t scenario_fingerprint(const ScenarioSpec& spec) {
   if (spec.loss_rate_rev != spec.loss_rate_fwd) h.f64(spec.loss_rate_rev);
   h.f64(spec.sprout_confidence);
   h.u64(spec.seed);
-  h.u64(spec.capture_series ? 1 : 0);
-  h.i64(spec.series_bin.count());
+  // Canonical encoding again: the retired series flag (off) and bin (500 ms)
+  // hash as constants, so every fingerprint and derived seed is unchanged.
+  h.u64(0);
+  h.i64(msec(500).count());
   return h.state;
 }
 

@@ -234,8 +234,7 @@ ScenarioSpec scenario_from_field(const Field& doc) {
                   "warmup_s", "propagation_delay_s", "propagation_delay_fwd_s",
                   "propagation_delay_rev_s", "loss_rate", "loss_rate_fwd",
                   "loss_rate_rev", "sprout_confidence", "seed",
-                  "capture_series", "series_bin_s", "record_timeline",
-                  "timeline_bin_s"});
+                  "record_timeline", "timeline_bin_s"});
   ScenarioSpec spec;
   if (const auto f = doc.get("topology")) spec.topology = read_topology(*f);
   if (spec.topology.kind == TopologySpec::Kind::kTower) {
@@ -252,11 +251,6 @@ ScenarioSpec scenario_from_field(const Field& doc) {
       doc.at("link").fail(
           "tower topologies draw channels from topology.tower.channel; "
           "remove link");
-    }
-    if (doc.has("capture_series")) {
-      doc.at("capture_series").fail(
-          "tower scenarios report streaming histograms, not time series; "
-          "remove capture_series");
     }
   }
   if (const auto f = doc.get("link")) spec.link = read_link(*f);
@@ -308,14 +302,8 @@ ScenarioSpec scenario_from_field(const Field& doc) {
     spec.sprout_confidence = f->in_range(0.0, 100.0);
   }
   if (const auto f = doc.get("seed")) spec.seed = f->as_u64();
-  if (const auto f = doc.get("capture_series")) {
-    spec.capture_series = f->as_bool();
-  }
-  if (const auto f = doc.get("series_bin_s")) {
-    spec.series_bin = f->positive_seconds();
-  }
-  // Unlike capture_series, the flight recorder streams fixed-bin state on
-  // EVERY topology, towers included.
+  // The flight recorder streams fixed-bin state on EVERY topology, towers
+  // included.
   if (const auto f = doc.get("record_timeline")) {
     spec.record_timeline = f->as_bool();
   }
@@ -552,12 +540,6 @@ void write_scenario_json(std::ostream& os, const ScenarioSpec& spec,
       w.integer("seed", static_cast<std::int64_t>(spec.seed));
     } else {
       w.str("seed", std::to_string(spec.seed));
-    }
-  }
-  if (spec.capture_series) {
-    w.boolean("capture_series", true);
-    if (spec.series_bin != defaults.series_bin) {
-      w.seconds("series_bin_s", spec.series_bin);
     }
   }
   if (spec.record_timeline) {

@@ -1,28 +1,36 @@
 #include "util/poisson.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace sprout {
 
 namespace {
 
-// Cached log-factorials; grown on demand.  Read-mostly after warmup.
-const double* log_factorial_table(int max_k) {
-  static std::vector<double> table{0.0};  // log(0!) = 0
-  while (static_cast<int>(table.size()) <= max_k) {
-    const double k = static_cast<double>(table.size());
-    table.push_back(table.back() + std::log(k));
-  }
-  return table.data();
+// Cached log-factorials for k < kTableSize.  Built once by a magic-static
+// initializer, which C++ runs on exactly one thread, so the first calls
+// from concurrent sweep threads cannot race.  Summed in order
+// (table[k] = table[k-1] + log k), so the values are bit-stable.
+constexpr int kTableSize = 1024;
+
+const std::array<double, kTableSize>& log_factorial_table() {
+  static const std::array<double, kTableSize> table = [] {
+    std::array<double, kTableSize> t{};
+    t[0] = 0.0;  // log(0!) = 0
+    for (int k = 1; k < kTableSize; ++k) {
+      t[k] = t[k - 1] + std::log(static_cast<double>(k));
+    }
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace
 
 double log_factorial(int k) {
   assert(k >= 0);
-  if (k < 1024) return log_factorial_table(1023)[k];
+  if (k < kTableSize) return log_factorial_table()[k];
   return std::lgamma(static_cast<double>(k) + 1.0);
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/timeseries.h"
+#include "metrics/recorder.h"
 #include "sim/simulator.h"
 
 namespace sprout {
@@ -136,13 +136,16 @@ TEST(MeasuredSink, RecordsAndForwards) {
   EXPECT_EQ(sink.metrics().total_bytes(), 700);
 }
 
+// The Figure-1 time series are the flight recorder's columns; FlowMetrics
+// feeds its delivery tap exactly as the scenario runner wires it.
 TEST(Timeseries, BinsThroughputAndDelay) {
+  FlowTimelineRecorder recorder(msec(500), TimePoint{}, TimePoint{} + sec(1));
   FlowMetrics m;
+  m.set_timeline_recorder(&recorder);
   for (int i = 0; i < 100; ++i) {
     m.record(rec(i * 10, i * 10 + 25, 1500));
   }
-  const auto series = throughput_delay_series(
-      m, TimePoint{}, TimePoint{} + sec(1), msec(500));
+  const auto series = recorder.finalize(nullptr, nullptr).points;
   ASSERT_EQ(series.size(), 2u);
   // Arrivals land at 25, 35, ..., so bin [0,500) holds 48 packets:
   // 1500*48*8/1000 / 0.5 s = 1152 kbps.
@@ -154,11 +157,12 @@ TEST(Timeseries, CapacitySeries) {
   std::vector<TimePoint> opp;
   for (int i = 1; i <= 100; ++i) opp.push_back(TimePoint{} + msec(i * 10));
   const Trace t{std::move(opp), sec(2)};
-  const auto series =
-      capacity_series(t, TimePoint{}, TimePoint{} + sec(2), msec(500));
+  const FlowTimelineRecorder recorder(msec(500), TimePoint{},
+                                      TimePoint{} + sec(2));
+  const auto series = recorder.finalize(&t, nullptr).points;
   ASSERT_EQ(series.size(), 4u);
-  EXPECT_GT(series[0].throughput_kbps, 1000.0);
-  EXPECT_NEAR(series[3].throughput_kbps, 0.0, 1e-9);  // trace ends at 1 s
+  EXPECT_GT(series[0].capacity_kbps, 1000.0);
+  EXPECT_NEAR(series[3].capacity_kbps, 0.0, 1e-9);  // trace ends at 1 s
 }
 
 }  // namespace

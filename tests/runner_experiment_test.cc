@@ -93,15 +93,21 @@ TEST(Experiment, OmniscientSchemeHasZeroSelfInflictedDelay) {
   EXPECT_GT(r.utilization(), 0.97);
 }
 
+// Figure 1's series come from the flight recorder: one point per bin, each
+// carrying the capacity column alongside the flow's throughput.
 TEST(Experiment, SeriesCaptureProducesAlignedSeries) {
   ScenarioSpec c = quick(SchemeId::kSproutEwma);
-  c.capture_series = true;
+  c.record_timeline = true;
   const ScenarioResult r = run_scenario(c);
-  const std::vector<SeriesPoint>& series = r.flows.front().series;
+  const std::vector<TimelinePoint>& series = r.flows.front().timeline.points;
   EXPECT_FALSE(series.empty());
-  EXPECT_EQ(series.size(), r.capacity_series.size());
+  double capacity_sum = 0.0;
   double series_sum = 0.0;
-  for (const SeriesPoint& p : series) series_sum += p.throughput_kbps;
+  for (const TimelinePoint& p : series) {
+    capacity_sum += p.capacity_kbps;
+    series_sum += p.throughput_kbps;
+  }
+  EXPECT_GT(capacity_sum, 0.0);
   EXPECT_GT(series_sum, 0.0);
 }
 

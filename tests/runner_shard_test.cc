@@ -317,6 +317,52 @@ TEST_F(ShardMerge, CounterBeyondDoubleExactRangeIsRejected) {
   EXPECT_THROW((void)read_shard_json(text), std::runtime_error);
 }
 
+TEST_F(ShardMerge, RetiredSeriesKeysMustStayEmpty) {
+  // The format keeps the retired capture_series keys as empty arrays; the
+  // reader still requires them, and refuses series data it cannot hold.
+  std::ostringstream os;
+  write_shard_json(os, (*shards_)[0]);
+  const std::string text = os.str();
+  for (const std::string key : {"\"series\": []", "\"capacity_series\": []"}) {
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    std::string filled = text;
+    filled.replace(at + key.size() - 1, 0, "[0,1,2,3]");
+    try {
+      (void)read_shard_json(filled);
+      ADD_FAILURE() << "accepted a non-empty " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("capture_series"),
+                std::string::npos)
+          << e.what();
+    }
+    std::string missing = text;
+    missing.erase(at - 2, key.size() + 2);  // drop ", KEY"
+    EXPECT_THROW((void)read_shard_json(missing), std::runtime_error) << key;
+  }
+}
+
+TEST(StripJsonMember, ErasesEveryMemberExactly) {
+  std::string text =
+      R"({"cells": [{"a": 1, "runtime": {"wall_s": 2}, "b": [3]},)"
+      R"( {"a": 4, "runtime": {"wall_s": 5}}], "runtime": {"x": 6}})";
+  EXPECT_EQ(strip_json_member(text, "runtime"), 3u);
+  EXPECT_EQ(text, R"({"cells": [{"a": 1, "b": [3]}, {"a": 4}]})");
+  EXPECT_EQ(strip_json_member(text, "timeline"), 0u);
+}
+
+TEST(StripJsonMember, RefusesDamagedInput) {
+  // Truncated (the last object never closes), corrupt, and a member with a
+  // nested brace that the textual erase cannot reproduce.
+  for (std::string text : {std::string(R"({"a": 1, "runtime": {"x": 2})"),
+                           std::string(R"({"a": 1, "runtime": {"x": 2}})"
+                                       "garbage"),
+                           std::string(R"({"a": 1, "runtime": {"x": {}}})")}) {
+    EXPECT_THROW((void)strip_json_member(text, "runtime"), std::runtime_error)
+        << text;
+  }
+}
+
 // --- fingerprints and scheduling ----------------------------------------
 
 TEST(Shard, SweepFingerprintCoversEveryCellAndTheSeed) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "runner/sweep.h"
 #include "spec_test_util.h"
 #include "trace/presets.h"
@@ -69,8 +71,8 @@ TEST(SpecScenarioIo, TunnelSyntheticAqmLossAndSeriesRoundTrip) {
   synthetic.link = LinkSpec::synthetic(fast, slow, 11, 22);
   synthetic.loss_rate_fwd = 0.05;
   synthetic.loss_rate_rev = 0.01;  // asymmetric split must survive
-  synthetic.capture_series = true;
-  synthetic.series_bin = msec(250);
+  synthetic.record_timeline = true;
+  synthetic.timeline_bin = msec(250);
   synthetic.seed = (1ull << 60) + 3;  // exceeds 2^53: travels as a string
   expect_roundtrip(synthetic);
 
@@ -358,12 +360,17 @@ TEST(SpecScenarioIo, TowerRejectsSchemeLinkAndSeriesKeys) {
                 "topology": {"kind": "tower"}})");
       },
       "link: tower topologies draw channels from topology.tower.channel");
-  expect_spec_error(
-      [] {
-        (void)parse_scenario_json(
-            R"({"capture_series": true, "topology": {"kind": "tower"}})");
-      },
-      "capture_series: tower scenarios report streaming histograms");
+  // The retired Figure-1 series keys are unknown on every topology (the
+  // flight recorder's record_timeline replaced them).
+  const std::pair<const char*, const char*> retired[] = {
+      {R"({"capture_series": true, "topology": {"kind": "tower"}})",
+       "capture_series: unknown field"},
+      {R"({"capture_series": true})", "capture_series: unknown field"},
+      {R"({"series_bin_s": 0.25})", "series_bin_s: unknown field"},
+  };
+  for (const auto& [json, error] : retired) {
+    expect_spec_error([&] { (void)parse_scenario_json(json); }, error);
+  }
 }
 
 TEST(SpecScenarioIo, TowerReaderValidatesWithPaths) {

@@ -1,6 +1,9 @@
 #include "util/poisson.h"
 
+#include <barrier>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,34 @@ TEST(LogFactorial, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(log_factorial(1), 0.0);
   EXPECT_NEAR(log_factorial(5), std::log(120.0), 1e-12);
   EXPECT_NEAR(log_factorial(10), std::log(3628800.0), 1e-9);
+}
+
+// ctest runs every test in its own process, so this test makes the
+// process's FIRST log_factorial calls: 8 threads released at once by a
+// barrier race to build the table, which a lazily grown table turns into a
+// double free that the SPROUT_SANITIZE build reports.  The values must
+// also be bit-identical to the in-order sum the table is defined by.
+TEST(LogFactorial, ColdConcurrentFirstCallsAgree) {
+  constexpr int kThreads = 8;
+  constexpr int kMaxK = 1024;
+  std::barrier start(kThreads);
+  std::vector<std::vector<double>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int k = 0; k < kMaxK; ++k) seen[t].push_back(log_factorial(k));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<double> expected{0.0};
+  for (int k = 1; k < kMaxK; ++k) {
+    expected.push_back(expected.back() + std::log(static_cast<double>(k)));
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t], expected) << "thread " << t;
+  }
 }
 
 TEST(LogFactorial, LargeArgumentsUseLgamma) {
