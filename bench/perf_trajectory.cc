@@ -25,6 +25,11 @@
 // (the exact production branch shape) must cost under 1% over the bare
 // evolve, measured and floored identically to the obs guard.
 //
+// The forecast Sprout runs by default is timed too (forecast_rate_8h: the
+// rate-quantile forecast, count_noise_in_forecast off) next to the mixture
+// variant, and "config" carries the CPU model, core count and compiler:
+// timings from different machines are not comparable.
+//
 // Usage:
 //   perf_trajectory [--json FILE] [--min-time S] [--bins N] [--flows N]
 //                   [--check]
@@ -36,7 +41,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/forecaster.h"
@@ -137,6 +144,37 @@ double paired_overhead_ratio(Base&& base, Guarded&& guarded) {
   return ratios[ratios.size() / 2];
 }
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 // A realistic locked-on posterior (filter run against a steady 500 pps
 // link): engages the banded row skipping exactly as production does.
 RateDistribution locked_posterior(const SproutParams& params, int per_tick) {
@@ -146,6 +184,18 @@ RateDistribution locked_posterior(const SproutParams& params, int per_tick) {
     filter.observe(per_tick);
   }
   return filter.distribution();
+}
+
+// Times one 8-horizon forecast from a locked-on posterior under `params`.
+double forecast_ns(const SproutParams& params, double min_time_s) {
+  const DeliveryForecaster forecaster(params);
+  const RateDistribution posterior = locked_posterior(params, 10);
+  TimePoint now{};
+  return time_ns(min_time_s, [&] {
+    now += params.tick;
+    DeliveryForecast f = forecaster.forecast(posterior, now);
+    if (f.cumulative_at(8) < 0) std::abort();  // keep the result live
+  });
 }
 
 struct Options {
@@ -261,26 +311,25 @@ int run(const Options& opt) {
       time_ns(opt.min_time_s, [&] { matrix.evolve_batch(batch_ptrs); });
   const double batch_speedup = serial_ns / batch_ns;
 
-  // --- the fused mixture-quantile forecast (transposed tables + floor) ---
+  // --- the forecasts: Sprout's default rate-quantile one, and the fused
+  // mixture-quantile variant (transposed tables + floor) ---
+  const double rate_forecast_ns = forecast_ns(params, opt.min_time_s);
   SproutParams mixture_params = params;
   mixture_params.count_noise_in_forecast = true;
-  const DeliveryForecaster forecaster(mixture_params);
-  const RateDistribution posterior = locked_posterior(mixture_params, 10);
-  TimePoint now{};
-  const double forecast_ns = time_ns(opt.min_time_s, [&] {
-    now += mixture_params.tick;
-    DeliveryForecast f = forecaster.forecast(posterior, now);
-    if (f.cumulative_at(8) < 0) std::abort();  // keep the result live
-  });
+  const double mixture_forecast_ns =
+      forecast_ns(mixture_params, opt.min_time_s);
 
   const std::string json = [&] {
-    char buf[2048];
+    char buf[4096];
     std::snprintf(
         buf, sizeof(buf),
         "{\n"
         "  \"artifact\": \"perf_trajectory\",\n"
-        "  \"pr\": 10,\n"
+        "  \"pr\": 13,\n"
         "  \"config\": {\n"
+        "    \"cpu\": \"%s\",\n"
+        "    \"nproc\": %u,\n"
+        "    \"compiler\": \"%s\",\n"
         "    \"bins\": %d,\n"
         "    \"flows\": %d,\n"
         "    \"band_epsilon\": %.3g,\n"
@@ -294,6 +343,7 @@ int run(const Options& opt) {
         "    \"evolve_banded\": %.1f,\n"
         "    \"evolve_serial_fleet\": %.1f,\n"
         "    \"evolve_batch_fleet\": %.1f,\n"
+        "    \"forecast_rate_8h\": %.1f,\n"
         "    \"forecast_mixture_8h\": %.1f\n"
         "  },\n"
         "  \"speedups\": {\n"
@@ -315,9 +365,12 @@ int run(const Options& opt) {
         "    \"recorder_off_overhead_banded_max\": 0.01\n"
         "  }\n"
         "}\n",
-        opt.bins, opt.flows, params.band_epsilon, kernels::active_backend(),
+        json_escape(cpu_model()).c_str(), std::thread::hardware_concurrency(),
+        json_escape(compiler()).c_str(), opt.bins, opt.flows,
+        params.band_epsilon, kernels::active_backend(),
         matrix.mean_bandwidth(), matrix.max_bandwidth(), opt.min_time_s,
-        dense_ns, banded_ns, serial_ns, batch_ns, forecast_ns, banded_speedup,
+        dense_ns, banded_ns, serial_ns, batch_ns, rate_forecast_ns,
+        mixture_forecast_ns, banded_speedup,
         batch_speedup, obs_overhead, obs_attempts, rec_overhead,
         rec_attempts);
     return std::string(buf);

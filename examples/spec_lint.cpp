@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -40,9 +41,16 @@ namespace {
 
 using namespace sprout;
 
+// A spec number as written: "3", or "0.25" when fractional.
+std::string number_text(double v) {
+  return format_double(v, v == std::floor(v) ? 0 : 2);
+}
+
 // One line describing a cell's flows: "Sprout" for a single flow,
 // "Sprout + Cubic" for a heterogeneous queue, "4 x Vegas" for a
-// homogeneous fleet, "Cubic + Skype (tunnel)" for tunnel contention.
+// homogeneous fleet, "Cubic + Skype (tunnel)" for tunnel contention,
+// "64 users (+1/s), Cubic:3 + Sprout:1" for a tower's population (initial
+// users, Poisson arrivals) and weighted scheme mix.
 std::string flows_summary(const ScenarioSpec& cell) {
   switch (cell.topology.kind) {
     case TopologySpec::Kind::kSingleFlow:
@@ -62,8 +70,31 @@ std::string flows_summary(const ScenarioSpec& cell) {
     case TopologySpec::Kind::kTunnelContention:
       return cell.topology.via_tunnel ? "Cubic + Skype (tunnel)"
                                       : "Cubic + Skype (direct)";
+    case TopologySpec::Kind::kTower: {
+      const TowerSpec& tower = cell.topology.tower_spec;
+      std::string out = std::to_string(tower.num_users) + " users";
+      if (tower.arrival_rate_per_s > 0.0) {
+        out += " (+" + number_text(tower.arrival_rate_per_s) + "/s)";
+      }
+      std::string mix;
+      for (const UserMixEntry& e : tower.mix) {
+        if (!mix.empty()) mix += " + ";
+        mix += to_string(e.scheme) + ":" + number_text(e.weight);
+      }
+      return out + ", " + mix;
+    }
   }
   return "?";
+}
+
+// The link a cell runs over.  A tower ignores ScenarioSpec::link: each user
+// gets a live channel drawn from the tower's synth base.
+std::string link_summary(const ScenarioSpec& cell) {
+  if (cell.topology.kind == TopologySpec::Kind::kTower) {
+    return "tower, " + to_string(cell.topology.tower_spec.channel.base) +
+           " channel";
+  }
+  return cell.link.name();
 }
 
 // Measures how many Cubic-equivalent simulated seconds one thread of THIS
@@ -206,7 +237,7 @@ int main(int argc, char** argv) {
       t.row()
           .cell(static_cast<std::int64_t>(i))
           .cell(flows_summary(cell))
-          .cell(cell.link.name())
+          .cell(link_summary(cell))
           .cell(to_seconds(cell.run_time), 0)
           .cell(estimated_cost(cell), 0)
           .cell(std::to_string(scenario_fingerprint(cell)));

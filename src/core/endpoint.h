@@ -48,7 +48,8 @@ class SproutEndpoint : public PacketSink {
   void attach_network(PacketSink& out) { network_ = &out; }
 
   // Optional cross-flow evolution batcher (scenario-owned; must outlive the
-  // endpoint).  If set before start(), this endpoint's Bayes filters join
+  // endpoint).  If set before start(), this endpoint's batchable filters
+  // (an adaptive bank's; see ForecastStrategy::collect_batch_filters) join
   // the scenario-wide per-instant batch evolve.
   void set_evolve_batcher(TickEvolveBatcher* batcher) { batcher_ = batcher; }
 

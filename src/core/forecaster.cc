@@ -68,22 +68,6 @@ cache_map() {
   return m;
 }
 
-// Nonzero support [lo, hi) of a posterior.  Interior zeros stay in the dot
-// span (they contribute exactly +0.0); only the tails are clipped, which is
-// where log-space observations actually zero mass out.
-struct Support {
-  std::size_t lo;
-  std::size_t hi;
-};
-
-Support support_of(const std::vector<double>& p) {
-  std::size_t lo = 0;
-  std::size_t hi = p.size();
-  while (lo < hi && p[lo] <= 0.0) ++lo;
-  while (hi > lo && p[hi - 1] <= 0.0) --hi;
-  return {lo, hi};
-}
-
 // Per-query dot-dispatch tally.  The kernels::dot wrapper itself carries no
 // instrumentation (hottest call sites), so each CDF query counts its probes
 // in a local and flushes here when obs is on.
@@ -141,10 +125,10 @@ double DeliveryForecaster::mixture_cdf(const RateDistribution& dist,
   const std::vector<double>& table =
       (*cdf_)[static_cast<std::size_t>(horizon - 1)];
   const std::vector<double>& p = dist.probabilities();
-  const Support s = support_of(p);
+  const auto [lo, hi] = dist.support();
   const double* col = &table[static_cast<std::size_t>(count) * bins];
   if (obs::enabled()) tally_dot_calls(1);
-  return kernels::dot(p.data() + s.lo, col + s.lo, s.hi - s.lo);
+  return kernels::dot(p.data() + lo, col + lo, hi - lo);
 }
 
 int DeliveryForecaster::quantile_packets(const RateDistribution& dist,
@@ -170,14 +154,14 @@ int DeliveryForecaster::quantile_packets(const RateDistribution& dist,
   const std::vector<double>& table =
       (*cdf_)[static_cast<std::size_t>(horizon - 1)];
   const std::vector<double>& p = dist.probabilities();
-  const Support s = support_of(p);
-  const double* pp = p.data() + s.lo;
-  const std::size_t len = s.hi - s.lo;
+  const auto [lo_bin, hi_bin] = dist.support();
+  const double* pp = p.data() + lo_bin;
+  const std::size_t len = hi_bin - lo_bin;
   std::int64_t probes = 0;
   auto cdf_at = [&](int count) {
     ++probes;
     const double* col = &table[static_cast<std::size_t>(count) * bins];
-    return kernels::dot(pp, col + s.lo, len);
+    return kernels::dot(pp, col + lo_bin, len);
   };
   const auto flush_probes = [&] {
     if (obs::enabled()) tally_dot_calls(probes);
@@ -202,8 +186,9 @@ int DeliveryForecaster::quantile_packets(const RateDistribution& dist,
   return hi;
 }
 
-DeliveryForecast DeliveryForecaster::forecast(const RateDistribution& current,
-                                              TimePoint now) const {
+DeliveryForecast DeliveryForecaster::forecast(
+    const RateDistribution& current, TimePoint now,
+    RateDistribution* first_step) const {
   if (obs::enabled()) {
     static obs::Counter& forecasts =
         obs::Registry::instance().counter("forecast.single");
@@ -218,6 +203,7 @@ DeliveryForecast DeliveryForecaster::forecast(const RateDistribution& current,
   int floor_packets = 0;
   for (int h = 1; h <= params_.forecast_horizon_ticks; ++h) {
     evolve_dist(*transitions_, params_, evolved);
+    if (h == 1 && first_step != nullptr) *first_step = evolved;
     // Cumulative deliveries cannot decrease with a longer horizon; the
     // previous horizon's count seeds this one's quantile search.
     floor_packets = quantile_packets(evolved, h, floor_packets);

@@ -66,9 +66,14 @@ class DeliveryForecaster {
   explicit DeliveryForecaster(const SproutParams& params);
 
   // Produces the forecast for the posterior `current`, evolving a private
-  // copy forward tick by tick.  `now` stamps the forecast origin.
-  [[nodiscard]] DeliveryForecast forecast(const RateDistribution& current,
-                                          TimePoint now) const;
+  // copy forward tick by tick.  `now` stamps the forecast origin.  A
+  // non-null `first_step` receives the private copy after the first
+  // horizon step (untouched when the horizon is empty): one evolve of
+  // `current`, exactly the posterior's next tick evolve, which
+  // BayesianForecastStrategy adopts instead of recomputing.
+  [[nodiscard]] DeliveryForecast forecast(
+      const RateDistribution& current, TimePoint now,
+      RateDistribution* first_step = nullptr) const;
 
   // Forecasts several posteriors in one pass: the per-horizon evolution of
   // all private copies runs through TransitionMatrix::evolve_batch, so N

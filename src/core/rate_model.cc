@@ -94,6 +94,14 @@ void RateDistribution::reset_uniform() {
   std::fill(p_.begin(), p_.end(), 1.0 / static_cast<double>(p_.size()));
 }
 
+std::pair<std::size_t, std::size_t> RateDistribution::support() const {
+  std::size_t lo = 0;
+  std::size_t hi = p_.size();
+  while (lo < hi && p_[lo] <= 0.0) ++lo;
+  while (hi > lo && p_[hi - 1] <= 0.0) --hi;
+  return {lo, hi};
+}
+
 bool RateDistribution::is_normalized(double tol) const {
   const double sum = std::accumulate(p_.begin(), p_.end(), 0.0);
   return std::abs(sum - 1.0) <= tol;
@@ -288,21 +296,16 @@ void TransitionMatrix::build_blocks() {
 
 namespace {
 
-// Thread-local scratch keeps the matrix itself immutable, so one cached
-// instance is safely shared across concurrent sweep cells.
-std::vector<double>& evolve_scratch(std::size_t n) {
-  thread_local std::vector<double> scratch;
-  scratch.assign(n, 0.0);
-  return scratch;
-}
-
 // Per-pass kernel dispatch tally.  The wrappers in util/kernels.cc carry no
 // instrumentation (they are the hottest call sites in the tree), so each
 // evolve pass counts its own kernel invocations in a local and flushes once
 // here when obs is on.
-void tally_kernel_calls(obs::Counter& scalar, obs::Counter& simd,
-                        std::int64_t calls) {
+void tally_weighted_sum4_calls(std::int64_t calls) {
   if (calls == 0) return;
+  static obs::Counter& scalar =
+      obs::Registry::instance().counter("kernels.weighted_sum4.scalar");
+  static obs::Counter& simd =
+      obs::Registry::instance().counter("kernels.weighted_sum4.avx2");
   (std::strcmp(kernels::active_backend(), "scalar") == 0 ? scalar : simd)
       .add(calls);
 }
@@ -310,31 +313,13 @@ void tally_kernel_calls(obs::Counter& scalar, obs::Counter& simd,
 }  // namespace
 
 void TransitionMatrix::evolve(RateDistribution& dist) const {
-  assert(static_cast<std::size_t>(dist.num_bins()) == n_);
   if (obs::enabled()) {
     static obs::Counter& evolves =
         obs::Registry::instance().counter("filter.evolve.banded");
     evolves.add();
   }
-  std::vector<double>& scratch = evolve_scratch(n_);
-  const std::vector<double>& p = dist.probabilities();
-  std::int64_t axpy_calls = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double pi = p[i];
-    if (pi <= 0.0) continue;
-    const auto lo = static_cast<std::size_t>(band_lo_[i]);
-    const auto width = static_cast<std::size_t>(band_hi_[i]) - lo;
-    kernels::axpy(scratch.data() + lo, &band_[band_off_[i]], pi, width);
-    ++axpy_calls;
-  }
-  if (obs::enabled()) {
-    static obs::Counter& scalar =
-        obs::Registry::instance().counter("kernels.axpy.scalar");
-    static obs::Counter& simd =
-        obs::Registry::instance().counter("kernels.axpy.avx2");
-    tally_kernel_calls(scalar, simd, axpy_calls);
-  }
-  dist.mutable_probabilities() = scratch;
+  RateDistribution* const one[] = {&dist};
+  evolve_blocks(one);
 }
 
 void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
@@ -344,7 +329,10 @@ void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
         obs::Registry::instance().counter("filter.evolve.dense");
     evolves.add();
   }
-  std::vector<double>& scratch = evolve_scratch(n_);
+  // Thread-local scratch keeps the matrix itself immutable, so one cached
+  // instance is safely shared across concurrent sweep cells.
+  thread_local std::vector<double> scratch;
+  scratch.assign(n_, 0.0);
   const std::vector<double>& p = dist.probabilities();
   for (std::size_t i = 0; i < n_; ++i) {
     const double pi = p[i];
@@ -372,17 +360,24 @@ void TransitionMatrix::evolve_batch(
     passes.add();
     flows_evolved.add(static_cast<std::int64_t>(dists.size()));
   }
+  evolve_blocks(dists);
+}
+
+void TransitionMatrix::evolve_blocks(
+    std::span<RateDistribution* const> dists) const {
   const std::size_t flows = dists.size();
   // Block-column sweep over the precomputed tiles (build_blocks): for each
   // 4-column output block, every flow's accumulator lives in a register
   // across the block's whole row range while the value tiles stream once
   // for all flows — no scratch traffic in the inner loop at all.
   //
-  // Bit-identity with serial evolve(): per output column the kernel adds
-  // pi[i] * value in ascending-row order from +0.0, the same sequence the
-  // row-by-row axpy accumulation produces.  Rows the serial path skips
-  // (pi = 0) or does not cover (zero-padded tile lanes) contribute exactly
-  // +0.0, which cannot change the bits of a non-negative accumulator.
+  // Per output column the kernel adds p[i] * M[i][j] in ascending-row order
+  // from +0.0, the product p·M column by column.  Rows with p[i] = 0 and
+  // zero-padded tile lanes (rows whose band misses a column) contribute
+  // exactly +0.0, which cannot change the bits of a non-negative
+  // accumulator.  So each flow's result is the same whatever the batch
+  // size, and rows outside every flow's nonzero support can be skipped:
+  // each block sweeps only its rows inside the flows' joint support.
   const std::size_t nblocks = block_row_begin_.size();
   const std::size_t npad = nblocks * 4;  // stripes padded to the block grid
   thread_local std::vector<double> scratch;
@@ -391,16 +386,27 @@ void TransitionMatrix::evolve_batch(
   scratch.resize(flows * npad);  // every stripe block is overwritten below
   coeffs.resize(flows);
   outs.resize(flows);
+  std::size_t support_lo = n_;
+  std::size_t support_hi = 0;
+  for (std::size_t f = 0; f < flows; ++f) {
+    assert(static_cast<std::size_t>(dists[f]->num_bins()) == n_);
+    const auto [lo, hi] = dists[f]->support();
+    if (lo < hi) {
+      support_lo = std::min(support_lo, lo);
+      support_hi = std::max(support_hi, hi);
+    }
+  }
   std::int64_t ws4_calls = 0;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    const auto begin = static_cast<std::size_t>(block_row_begin_[b]);
-    const std::size_t rows =
-        static_cast<std::size_t>(block_row_end_[b]) - begin;
+    const std::size_t begin = std::max(
+        static_cast<std::size_t>(block_row_begin_[b]), support_lo);
+    const std::size_t end =
+        std::min(static_cast<std::size_t>(block_row_end_[b]), support_hi);
     for (std::size_t f = 0; f < flows; ++f) {
       outs[f] = scratch.data() + f * npad + 4 * b;
     }
-    if (rows == 0) {
-      // No row reaches these columns; a serial evolve leaves them zero.
+    if (begin >= end) {
+      // No row with mass reaches these columns: they evolve to zero.
       for (std::size_t f = 0; f < flows; ++f) {
         outs[f][0] = outs[f][1] = outs[f][2] = outs[f][3] = 0.0;
       }
@@ -409,17 +415,13 @@ void TransitionMatrix::evolve_batch(
     for (std::size_t f = 0; f < flows; ++f) {
       coeffs[f] = dists[f]->probabilities().data() + begin;
     }
-    kernels::weighted_sum4(&block_vals_[block_off_[b]], rows, coeffs.data(),
-                           flows, outs.data());
+    const std::size_t tile_row =
+        begin - static_cast<std::size_t>(block_row_begin_[b]);
+    kernels::weighted_sum4(&block_vals_[block_off_[b] + 4 * tile_row],
+                           end - begin, coeffs.data(), flows, outs.data());
     ++ws4_calls;
   }
-  if (obs::enabled()) {
-    static obs::Counter& scalar =
-        obs::Registry::instance().counter("kernels.weighted_sum4.scalar");
-    static obs::Counter& simd =
-        obs::Registry::instance().counter("kernels.weighted_sum4.avx2");
-    tally_kernel_calls(scalar, simd, ws4_calls);
-  }
+  if (obs::enabled()) tally_weighted_sum4_calls(ws4_calls);
   for (std::size_t f = 0; f < flows; ++f) {
     std::vector<double>& p = dists[f]->mutable_probabilities();
     std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(f * npad),
@@ -441,6 +443,17 @@ void SproutBayesFilter::evolve() {
     return;
   }
   evolve_dist(*transitions_, params_, dist_);
+}
+
+void SproutBayesFilter::adopt_evolved(RateDistribution& evolved) {
+  assert(!batch_evolved_);
+  assert(evolved.num_bins() == dist_.num_bins());
+  if (obs::enabled()) {
+    static obs::Counter& seeded =
+        obs::Registry::instance().counter("filter.evolve.seeded");
+    seeded.add();
+  }
+  std::swap(dist_, evolved);
 }
 
 void SproutBayesFilter::evolve_batch(

@@ -32,6 +32,11 @@ class RateDistribution {
   [[nodiscard]] const std::vector<double>& probabilities() const { return p_; }
   [[nodiscard]] std::vector<double>& mutable_probabilities() { return p_; }
 
+  // Nonzero support [lo, hi): every bin outside it holds exactly 0.0.
+  // Interior zeros stay inside; only the tails are clipped, which is where
+  // log-space observations actually zero mass out.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> support() const;
+
   // Distribution sanity: sums to one within tolerance.
   [[nodiscard]] bool is_normalized(double tol = 1e-9) const;
   void normalize();
@@ -52,8 +57,9 @@ class RateDistribution {
 // Two evolution paths are built from the same Gaussian rows:
 //  * banded (default): per-row [lo, hi) extents retaining ≥ 1−ε of the
 //    row's mass (ε = SproutParams::band_epsilon), packed contiguously and
-//    renormalized, evolved in O(bins · bandwidth) with vectorized
-//    accumulation (util/kernels.h);
+//    renormalized, then repacked into 4-column block tiles and evolved in
+//    O(bins · bandwidth) by kernels::weighted_sum4 (util/kernels.h) — the
+//    same kernel for one flow and for a batch;
 //  * dense: the full bins² pass, bit-for-bit the historical arithmetic,
 //    kept as the exact-reference path (SproutParams::dense_inference).
 // ε = 0 trims only entries that are EXACTLY zero (underflowed Gaussian
@@ -63,17 +69,19 @@ class TransitionMatrix {
  public:
   explicit TransitionMatrix(const SproutParams& params);
 
-  // p <- p * M through the banded kernel (in place via thread-local
-  // scratch).
+  // p <- p * M through the banded block kernel (in place via thread-local
+  // scratch): the batch pass run for one flow, counted as
+  // "filter.evolve.banded".
   void evolve(RateDistribution& dist) const;
 
   // p <- p * M through the full dense matrix: the exact-reference path.
   void evolve_dense(RateDistribution& dist) const;
 
-  // Pushes every distribution through one banded matrix pass: rows stream
+  // Pushes every distribution through one banded matrix pass: tiles stream
   // once and are applied to all flows (GEMM-shaped loop order), so N
   // co-active Sprout flows pay the matrix traversal once instead of N
-  // times.  Bit-identical to calling evolve() on each entry in order.
+  // times.  Bit-identical to calling evolve() on each entry in order: both
+  // run evolve_blocks, whose per-flow arithmetic ignores the batch size.
   void evolve_batch(std::span<RateDistribution* const> dists) const;
 
   [[nodiscard]] double entry(int from, int to) const {
@@ -93,6 +101,8 @@ class TransitionMatrix {
  private:
   void build_band(double epsilon);
   void build_blocks();
+  // The banded pass behind evolve and evolve_batch (uncounted).
+  void evolve_blocks(std::span<RateDistribution* const> dists) const;
 
   std::size_t n_;
   std::vector<double> m_;  // row-major: m_[from][to], exact rows
@@ -105,12 +115,12 @@ class TransitionMatrix {
   int max_bandwidth_ = 0;
   double mean_bandwidth_ = 0.0;
   double band_epsilon_ = 0.0;
-  // Block-column layout for evolve_batch: for each 4-column output block b
+  // Block-column layout for the banded pass: for each 4-column output block b
   // (columns [4b, 4b+4)), the range of rows whose band overlaps the block
   // and a repacked (rows × 4) tile of their band values at those columns,
-  // zero where a row's band does not cover a column.  Lets the batched
-  // kernel keep per-flow accumulators in registers for a whole block while
-  // streaming each tile once for all flows.
+  // zero where a row's band does not cover a column.  Lets the kernel keep
+  // per-flow accumulators in registers for a whole block while streaming
+  // each tile once for all flows.
   std::vector<double> block_vals_;
   std::vector<std::size_t> block_off_;
   std::vector<int> block_row_begin_;
@@ -153,6 +163,12 @@ class SproutBayesFilter {
   // pending-batch mark if this tick's evolution already ran through
   // evolve_batch (see below).
   void evolve();
+
+  // Step 1 with the result already known: swaps in `evolved`, which must be
+  // exactly what evolve() would compute from the current posterior (M·p, as
+  // a forecast's first horizon step produced it), and hands the old
+  // posterior back through `evolved`.  Counted as "filter.evolve.seeded".
+  void adopt_evolved(RateDistribution& evolved);
 
   // Evolves several filters in one matrix pass per shared kernel.  Filters
   // are grouped by their (cache-shared) TransitionMatrix; each group runs

@@ -6,7 +6,23 @@
 namespace sprout {
 
 BayesianForecastStrategy::BayesianForecastStrategy(const SproutParams& params)
-    : filter_(params), forecaster_(params) {}
+    : filter_(params), forecaster_(params), next_evolved_(params.num_bins) {}
+
+void BayesianForecastStrategy::advance_tick() {
+  if (next_evolved_valid_) {
+    next_evolved_valid_ = false;
+    filter_.adopt_evolved(next_evolved_);
+  } else {
+    filter_.evolve();
+  }
+}
+
+DeliveryForecast BayesianForecastStrategy::make_forecast(TimePoint now) const {
+  DeliveryForecast f =
+      forecaster_.forecast(filter_.distribution(), now, &next_evolved_);
+  next_evolved_valid_ = f.ticks() > 0;
+  return f;
+}
 
 EwmaForecastStrategy::EwmaForecastStrategy(const SproutParams& params,
                                            EwmaParams ewma)

@@ -40,36 +40,49 @@ class ForecastStrategy {
   // Appends the Bayes filters whose per-tick evolution may be hoisted into
   // a cross-flow batch (see SproutBayesFilter::evolve_batch and
   // core/tick_batcher.h).  Strategies without batchable filters (EWMA,
-  // empirical) append nothing.
+  // empirical, and Bayesian, whose tick evolve comes from its forecast)
+  // append nothing.
   virtual void collect_batch_filters(std::vector<SproutBayesFilter*>&) {}
 };
 
 // The paper's Bayesian filter + cautious percentile forecast.
+//
+// One forecast per tick, no separate tick evolve: the forecast's first
+// horizon step is M·p_T, and since nothing touches the posterior between a
+// tick's forecast and the next tick's evolve, that IS the next evolve.  The
+// strategy keeps it and advance_tick() adopts it, so a tick costs only the
+// forecast's horizon evolves, bit-identically.  Any posterior
+// update in between (observe, or a second tick without a forecast) drops
+// the kept step and the filter evolves as usual.  With no evolve left to
+// hoist, Bayesian filters offer nothing to the cross-flow batcher.
 class BayesianForecastStrategy : public ForecastStrategy {
  public:
   explicit BayesianForecastStrategy(const SproutParams& params);
 
-  void advance_tick() override { filter_.evolve(); }
-  void observe(int packets) override { filter_.observe(packets); }
+  void advance_tick() override;
+  void observe(int packets) override {
+    next_evolved_valid_ = false;
+    filter_.observe(packets);
+  }
   void observe_lower_bound(int packets) override {
+    next_evolved_valid_ = false;
     filter_.observe_at_least(packets);
   }
-  [[nodiscard]] DeliveryForecast make_forecast(TimePoint now) const override {
-    return forecaster_.forecast(filter_.distribution(), now);
-  }
+  [[nodiscard]] DeliveryForecast make_forecast(TimePoint now) const override;
   [[nodiscard]] double estimated_rate_pps() const override {
     return filter_.mean_rate_pps();
   }
 
   [[nodiscard]] const SproutBayesFilter& filter() const { return filter_; }
 
-  void collect_batch_filters(std::vector<SproutBayesFilter*>& out) override {
-    out.push_back(&filter_);
-  }
-
  private:
   SproutBayesFilter filter_;
   DeliveryForecaster forecaster_;
+  // The last forecast's first horizon step (M·p) and whether it still
+  // matches the posterior.  Mutable: make_forecast only memoizes work the
+  // next advance_tick() would otherwise repeat.
+  mutable RateDistribution next_evolved_;
+  mutable bool next_evolved_valid_ = false;
 };
 
 struct EwmaParams {

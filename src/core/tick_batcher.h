@@ -16,6 +16,11 @@
 // but the filter's own posterior, so hoisting it ahead of sibling
 // endpoints' same-instant observe/forecast work changes no arithmetic.
 //
+// Only filters that still evolve on the tick register: the adaptive
+// strategy's hypothesis banks.  A Bayesian strategy's tick evolve is its
+// previous forecast's first horizon step (core/strategy.h), so it offers
+// the batcher nothing.
+//
 // Single-threaded (the simulator's event loop is); counters expose how much
 // batching actually happened for tests and the perf trajectory.
 #pragma once

@@ -16,15 +16,11 @@ namespace {
 
 // --- scalar path ---------------------------------------------------------
 //
-// The axpy loop is element-wise, so whatever the compiler does with it
-// (SSE2, unrolling) cannot change results — IEEE add/mul per element, and
-// FMA contraction is off by default without -ffast-math.  The dot loop
-// spells out the same four-accumulator pattern the AVX2 path uses so both
-// reduce in the same order.
-
-void axpy_scalar(double* dst, const double* src, double a, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] += a * src[j];
-}
+// The weighted_sum4 lanes are independent sequential sums, so whatever the
+// compiler does with them (SSE2, unrolling) cannot change results — IEEE
+// add/mul per element, and FMA contraction is off by default without
+// -ffast-math.  The dot loop spells out the same four-accumulator pattern
+// the AVX2 path uses so both reduce in the same order.
 
 void weighted_sum4_scalar(const double* vals, std::size_t rows,
                           const double* const* coeffs, std::size_t k,
@@ -66,19 +62,6 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
 // --- AVX2 path -----------------------------------------------------------
 
 #if SPROUT_KERNELS_HAVE_AVX2
-
-__attribute__((target("avx2"))) void axpy_avx2(double* dst, const double* src,
-                                               double a, std::size_t n) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t j = 0;
-  // Deliberately mul + add, not FMA: bit-identity with the scalar path.
-  for (; j + 4 <= n; j += 4) {
-    const __m256d s = _mm256_loadu_pd(src + j);
-    const __m256d d = _mm256_loadu_pd(dst + j);
-    _mm256_storeu_pd(dst + j, _mm256_add_pd(d, _mm256_mul_pd(va, s)));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
 
 // K is a compile-time flow count so the K accumulators stay pinned in ymm
 // registers across the whole row sweep (K ≤ 8: 8 accumulators + the shared
@@ -141,23 +124,20 @@ __attribute__((target("avx2"))) double dot_avx2(const double* a,
 
 #endif  // SPROUT_KERNELS_HAVE_AVX2
 
-using AxpyFn = void (*)(double*, const double*, double, std::size_t);
 using WeightedSum4Fn = void (*)(const double*, std::size_t,
                                 const double* const*, std::size_t,
                                 double* const*);
 using DotFn = double (*)(const double*, const double*, std::size_t);
 
 struct Backend {
-  AxpyFn axpy;
   WeightedSum4Fn weighted_sum4;
   DotFn dot;
   const char* name;
 };
 
-constexpr Backend kScalar{axpy_scalar, weighted_sum4_scalar, dot_scalar,
-                          "scalar"};
+constexpr Backend kScalar{weighted_sum4_scalar, dot_scalar, "scalar"};
 #if SPROUT_KERNELS_HAVE_AVX2
-constexpr Backend kAvx2{axpy_avx2, weighted_sum4_avx2, dot_avx2, "avx2"};
+constexpr Backend kAvx2{weighted_sum4_avx2, dot_avx2, "avx2"};
 #endif
 
 bool avx2_supported() {
@@ -194,14 +174,11 @@ Backend g_backend = resolve_startup();
 
 // NOTE: these wrappers are the hottest call sites in the tree and carry NO
 // instrumentation — not even a disabled-branch check.  The per-backend
-// dispatch tallies ("kernels.axpy.avx2", ...) are counted per PASS at the
-// call sites (TransitionMatrix::evolve and friends), which know how many
-// kernel invocations a pass makes; the perf trajectory's obs-overhead
-// guard (< 1% on the banded-evolve bench) exists to keep it that way.
-
-void axpy(double* dst, const double* src, double a, std::size_t n) {
-  g_backend.axpy(dst, src, a, n);
-}
+// dispatch tallies ("kernels.weighted_sum4.avx2", ...) are counted per PASS
+// at the call sites (TransitionMatrix's evolve passes, the forecaster's
+// quantile search), which know how many kernel invocations a pass makes;
+// the perf trajectory's obs-overhead guard (< 1% on the banded-evolve
+// bench) exists to keep it that way.
 
 void weighted_sum4(const double* vals, std::size_t rows,
                    const double* const* coeffs, std::size_t k,

@@ -1,6 +1,8 @@
 #include "core/forecaster.h"
 
 #include <algorithm>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +214,97 @@ TEST(BayesianStrategy, EndToEndViaInterface) {
   const DeliveryForecast f = s->make_forecast(TimePoint{} + msec(100));
   EXPECT_EQ(f.origin, TimePoint{} + msec(100));
   EXPECT_GT(f.cumulative_at(8), 0);
+}
+
+// The forecast-seeded tick evolve is bit-invisible: a BayesianForecastStrategy
+// (which adopts its last forecast's first horizon step as the next tick's
+// evolve) and a bare filter + forecaster (which evolve every tick) must hold
+// the same posterior bytes and emit the same forecasts on every tick of a
+// script mixing every kind of receiver tick, plus call orders the receiver
+// never makes: ticks with no forecast (with or without an observation), and
+// a forecast made before the tick's observation (the kept step must then be
+// dropped, not adopted).
+TEST(BayesianStrategy, ForecastSeededEvolveMatchesBareFilter) {
+  enum class Tick {
+    kLinkLimited, kCensored, kZero, kSkipped, kNoForecast, kSilent,
+    kForecastFirst
+  };
+  std::mt19937_64 rng(13);
+  std::vector<Tick> script = {Tick::kLinkLimited};  // the first tick
+  for (int t = 0; t < 400; ++t) {
+    // Mostly link-limited, with runs of every other kind mixed in.
+    const auto pick = static_cast<int>(rng() % 13);
+    script.push_back(pick < 6     ? Tick::kLinkLimited
+                     : pick < 8   ? Tick::kCensored
+                     : pick == 8  ? Tick::kZero
+                     : pick == 9  ? Tick::kSkipped
+                     : pick == 10 ? Tick::kNoForecast
+                     : pick == 11 ? Tick::kSilent
+                                  : Tick::kForecastFirst);
+  }
+  for (const bool dense : {false, true}) {
+    SproutParams p;
+    p.dense_inference = dense;
+    BayesianForecastStrategy strategy(p);
+    SproutBayesFilter filter(p);
+    const DeliveryForecaster forecaster(p);
+    const auto same_posterior = [&] {
+      const std::vector<double>& a =
+          strategy.filter().distribution().probabilities();
+      const std::vector<double>& b = filter.distribution().probabilities();
+      return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    const auto same_forecast = [&](TimePoint now) {
+      const DeliveryForecast got = strategy.make_forecast(now);
+      const DeliveryForecast want =
+          forecaster.forecast(filter.distribution(), now);
+      return got.origin == want.origin &&
+             got.cumulative_bytes == want.cumulative_bytes;
+    };
+    for (std::size_t t = 0; t < script.size(); ++t) {
+      const int packets = 2 + static_cast<int>(rng() % 12);
+      const TimePoint now = TimePoint{} + p.tick * static_cast<int>(t);
+      strategy.advance_tick();
+      filter.evolve();
+      ASSERT_TRUE(same_posterior()) << "dense=" << dense << " tick " << t;
+      if (script[t] == Tick::kForecastFirst) {
+        ASSERT_TRUE(same_forecast(now)) << "dense=" << dense << " tick " << t;
+      }
+      switch (script[t]) {
+        case Tick::kLinkLimited:
+        case Tick::kNoForecast:
+          strategy.observe(packets);
+          filter.observe(packets);
+          break;
+        case Tick::kCensored:
+          strategy.observe_lower_bound(packets);
+          filter.observe_at_least(packets);
+          break;
+        case Tick::kForecastFirst:  // either update must drop the kept step
+          if (packets % 2 == 0) {
+            strategy.observe(packets);
+            filter.observe(packets);
+          } else {
+            strategy.observe_lower_bound(packets);
+            filter.observe_at_least(packets);
+          }
+          break;
+        case Tick::kZero:
+          strategy.observe(0);
+          filter.observe(0);
+          break;
+        case Tick::kSkipped:  // time-to-next blackout: no observation
+        case Tick::kSilent:
+          break;
+      }
+      ASSERT_TRUE(same_posterior()) << "dense=" << dense << " tick " << t;
+      if (script[t] == Tick::kNoForecast || script[t] == Tick::kSilent ||
+          script[t] == Tick::kForecastFirst) {
+        continue;
+      }
+      ASSERT_TRUE(same_forecast(now)) << "dense=" << dense << " tick " << t;
+    }
+  }
 }
 
 }  // namespace

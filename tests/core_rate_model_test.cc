@@ -1,10 +1,13 @@
 #include "core/rate_model.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "util/kernels.h"
 
 namespace sprout {
 namespace {
@@ -334,6 +337,52 @@ TEST(BandedEvolve, ZeroEpsilonIsBitIdenticalToDense) {
   for (int j = 0; j < p.num_bins; ++j) {
     EXPECT_EQ(banded.probability(j), dense.probability(j)) << "bin " << j;
   }
+}
+
+bool same_bits(const RateDistribution& a, const RateDistribution& b) {
+  return a.num_bins() == b.num_bins() &&
+         std::memcmp(a.probabilities().data(), b.probabilities().data(),
+                     a.probabilities().size() * sizeof(double)) == 0;
+}
+
+TEST(TransitionMatrix, EvolveIsOneFlowOfABatch) {
+  // evolve() and evolve_batch() share one block kernel: a lone evolve must
+  // match its flow's slot in a two-flow batch bit for bit, in every kernel
+  // backend, and at ε = 0 it must also match the dense reference.
+  const std::string saved = kernels::active_backend();
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::force_backend(backend)) continue;
+    for (const double eps : {SproutParams{}.band_epsilon, 0.0}) {
+      SproutParams p;  // full 256 bins
+      p.band_epsilon = eps;
+      const TransitionMatrix m(p);
+      SproutBayesFilter locked(p);
+      for (int t = 0; t < 60; ++t) {
+        locked.evolve();
+        locked.observe(t < 40 ? 9 : 0);  // lock on, then into an outage
+      }
+      RateDistribution spike(p.num_bins);  // a lone mass: zero-padded lanes
+      std::fill(spike.mutable_probabilities().begin(),
+                spike.mutable_probabilities().end(), 0.0);
+      spike.mutable_probabilities()[130] = 1.0;
+      for (const RateDistribution& start : {locked.distribution(), spike}) {
+        RateDistribution lone = start;
+        RateDistribution dense = start;
+        RateDistribution first = start;
+        RateDistribution other = locked.distribution();
+        m.evolve(other);  // a different second flow
+        RateDistribution* const pair[] = {&first, &other};
+        m.evolve(lone);
+        m.evolve_batch(pair);
+        EXPECT_TRUE(same_bits(lone, first)) << backend << " eps=" << eps;
+        if (eps == 0.0) {
+          m.evolve_dense(dense);
+          EXPECT_TRUE(same_bits(lone, dense)) << backend;
+        }
+      }
+    }
+  }
+  kernels::force_backend(saved.c_str());
 }
 
 TEST(BatchedEvolve, BitIdenticalToSerialEvolves) {

@@ -1,9 +1,12 @@
 // Cross-flow evolution batching: the batcher must actually merge
-// same-instant evolves AND stay bit-invisible to the protocol.
+// same-instant evolves AND stay bit-invisible to the protocol.  The
+// adaptive bank is what batches; a Bayesian filter's tick evolve comes from
+// its own forecast (core/strategy.h) and never reaches the batcher.
 #include "core/tick_batcher.h"
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive.h"
 #include "core/endpoint.h"
 #include "core/source.h"
 #include "link/cellsim.h"
@@ -59,11 +62,23 @@ struct Session {
 
 TEST(TickBatcher, MergesColocatedTicksAndCounts) {
   TickEvolveBatcher batcher;
-  Session s(&batcher, sec(4), SproutVariant::kBayesian);
+  Session s(&batcher, sec(4), SproutVariant::kAdaptive);
   // ~200 ticks at 20 ms; both endpoints share every instant, so every pass
-  // merges both filters.
+  // merges both endpoints' whole hypothesis banks.
+  const auto bank =
+      static_cast<std::int64_t>(AdaptiveParams{}.hypotheses.size());
   EXPECT_GT(batcher.batch_passes(), 150);
-  EXPECT_EQ(batcher.batched_evolves(), 2 * batcher.batch_passes());
+  EXPECT_EQ(batcher.batched_evolves(), 2 * bank * batcher.batch_passes());
+}
+
+TEST(TickBatcher, BayesianSessionsLeaveTheBatcherIdle) {
+  // Both endpoints collide on every instant, yet a Bayesian filter adopts
+  // its tick evolve from the previous forecast and registers nothing.
+  TickEvolveBatcher batcher;
+  Session s(&batcher, sec(2), SproutVariant::kBayesian);
+  EXPECT_EQ(batcher.batch_passes(), 0);
+  EXPECT_EQ(batcher.batched_evolves(), 0);
+  EXPECT_GT(s.measured.metrics().records().size(), 0u);
 }
 
 TEST(TickBatcher, AdaptiveMembersAllJoinTheBatch) {
@@ -77,8 +92,8 @@ TEST(TickBatcher, AdaptiveMembersAllJoinTheBatch) {
 
 TEST(TickBatcher, BatchedSessionIsBitIdenticalToUnbatched) {
   TickEvolveBatcher batcher;
-  Session batched(&batcher, sec(6), SproutVariant::kBayesian);
-  Session plain(nullptr, sec(6), SproutVariant::kBayesian);
+  Session batched(&batcher, sec(6), SproutVariant::kAdaptive);
+  Session plain(nullptr, sec(6), SproutVariant::kAdaptive);
   ASSERT_GT(batcher.batch_passes(), 0);
   // The entire delivery record — every packet's size and timing — must
   // match, which it only can if every forecast byte matched.

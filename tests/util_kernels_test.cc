@@ -27,17 +27,47 @@ class BackendGuard {
   std::string saved_;
 };
 
-TEST(Kernels, AxpyMatchesNaiveLoop) {
-  std::mt19937_64 rng(1);
-  for (const std::size_t n : {0UL, 1UL, 3UL, 4UL, 7UL, 64UL, 109UL, 256UL}) {
-    const std::vector<double> src = random_vec(rng, n);
-    std::vector<double> dst = random_vec(rng, n);
-    std::vector<double> expect = dst;
-    const double a = 0.37;
-    for (std::size_t j = 0; j < n; ++j) expect[j] += a * src[j];
-    axpy(dst.data(), src.data(), a, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_DOUBLE_EQ(dst[j], expect[j]) << "n=" << n << " j=" << j;
+// The backends this host can run: scalar always, avx2 when cpuid has it.
+std::vector<std::string> runnable_backends() {
+  BackendGuard guard;
+  std::vector<std::string> out = {"scalar"};
+  if (force_backend("avx2")) out.emplace_back("avx2");
+  return out;
+}
+
+// One flow through weighted_sum4 — the single-posterior banded evolve —
+// against the naive per-lane loop, bit for bit in every backend.  The
+// all-zero tile is a block no band reaches: zero coefficients against zero
+// values must leave the lanes at +0.0 exactly, not -0.0.
+TEST(Kernels, WeightedSum4SingleFlowMatchesNaiveLoop) {
+  BackendGuard guard;
+  for (const std::string& backend : runnable_backends()) {
+    ASSERT_TRUE(force_backend(backend.c_str()));
+    std::mt19937_64 rng(1);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    for (const bool zero_tile : {false, true}) {
+      for (const std::size_t rows : {0UL, 1UL, 3UL, 97UL}) {
+        std::vector<double> vals(rows * 4, 0.0);
+        std::vector<double> coeff(rows, 0.0);
+        if (!zero_tile) {
+          for (double& x : vals) x = u(rng);
+          for (double& c : coeff) c = u(rng);
+          if (rows > 2) coeff[1] = 0.0;  // a row the posterior has no mass on
+        }
+        const double* coeffs[] = {coeff.data()};
+        double got[4] = {-1.0, -1.0, -1.0, -1.0};
+        double* outs[] = {got};
+        weighted_sum4(vals.data(), rows, coeffs, 1, outs);
+        for (std::size_t l = 0; l < 4; ++l) {
+          double want = 0.0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            want += coeff[r] * vals[4 * r + l];
+          }
+          EXPECT_EQ(std::memcmp(&got[l], &want, sizeof(double)), 0)
+              << backend << " rows=" << rows << " zero_tile=" << zero_tile
+              << " l=" << l << ": " << got[l] << " vs " << want;
+        }
+      }
     }
   }
 }
@@ -98,26 +128,20 @@ TEST(Kernels, BackendsAreBitIdentical) {
   for (const std::size_t n : {1UL, 4UL, 6UL, 64UL, 109UL, 255UL, 256UL}) {
     const std::vector<double> a = random_vec(rng, n);
     const std::vector<double> b = random_vec(rng, n);
-    std::vector<double> dst_vec = random_vec(rng, n);
-    std::vector<double> dst_sca = dst_vec;
 
     ASSERT_TRUE(force_backend("avx2"));
     const double dot_vec = dot(a.data(), b.data(), n);
-    axpy(dst_vec.data(), a.data(), 0.618, n);
 
     ASSERT_TRUE(force_backend("scalar"));
     const double dot_sca = dot(a.data(), b.data(), n);
-    axpy(dst_sca.data(), a.data(), 0.618, n);
 
     EXPECT_EQ(std::memcmp(&dot_vec, &dot_sca, sizeof(double)), 0) << "n=" << n;
-    EXPECT_EQ(std::memcmp(dst_vec.data(), dst_sca.data(), n * sizeof(double)),
-              0)
-        << "n=" << n;
   }
 
-  // weighted_sum4 across backends, including the k > 8 chunked path.
+  // weighted_sum4 across backends: k = 1 is the single-flow evolve, k > 8
+  // the chunked batch path.
   std::mt19937_64 rng2(4);
-  for (const std::size_t rows : {1UL, 7UL, 96UL}) {
+  for (const std::size_t rows : {0UL, 1UL, 3UL, 7UL, 96UL, 97UL}) {
     for (const std::size_t k : {1UL, 3UL, 8UL, 13UL}) {
       const std::vector<double> vals = random_vec(rng2, rows * 4);
       std::vector<std::vector<double>> coeff_store(k);
