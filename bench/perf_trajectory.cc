@@ -28,7 +28,11 @@
 // The forecast Sprout runs by default is timed too (forecast_rate_8h: the
 // rate-quantile forecast, count_noise_in_forecast off) next to the mixture
 // variant, and "config" carries the CPU model, core count and compiler:
-// timings from different machines are not comparable.
+// timings from different machines are not comparable.  The rate forecast
+// evolves its horizon steps only as far as its percentile scans read, so
+// its cost follows the posterior: it is also timed locked at 2 packets/tick
+// (the crossing in the first column blocks, the cheapest case) and at 19
+// (the crossing near the top bin, where nearly every column is needed).
 //
 // Usage:
 //   perf_trajectory [--json FILE] [--min-time S] [--bins N] [--flows N]
@@ -186,10 +190,12 @@ RateDistribution locked_posterior(const SproutParams& params, int per_tick) {
   return filter.distribution();
 }
 
-// Times one 8-horizon forecast from a locked-on posterior under `params`.
-double forecast_ns(const SproutParams& params, double min_time_s) {
+// Times one 8-horizon forecast from a posterior locked on `per_tick`
+// packets per tick under `params`.
+double forecast_ns(const SproutParams& params, double min_time_s,
+                   int per_tick = 10) {
   const DeliveryForecaster forecaster(params);
-  const RateDistribution posterior = locked_posterior(params, 10);
+  const RateDistribution posterior = locked_posterior(params, per_tick);
   TimePoint now{};
   return time_ns(min_time_s, [&] {
     now += params.tick;
@@ -314,6 +320,9 @@ int run(const Options& opt) {
   // --- the forecasts: Sprout's default rate-quantile one, and the fused
   // mixture-quantile variant (transposed tables + floor) ---
   const double rate_forecast_ns = forecast_ns(params, opt.min_time_s);
+  const double rate_forecast_low_ns = forecast_ns(params, opt.min_time_s, 2);
+  const double rate_forecast_high_ns =
+      forecast_ns(params, opt.min_time_s, 19);
   SproutParams mixture_params = params;
   mixture_params.count_noise_in_forecast = true;
   const double mixture_forecast_ns =
@@ -325,7 +334,7 @@ int run(const Options& opt) {
         buf, sizeof(buf),
         "{\n"
         "  \"artifact\": \"perf_trajectory\",\n"
-        "  \"pr\": 13,\n"
+        "  \"pr\": 14,\n"
         "  \"config\": {\n"
         "    \"cpu\": \"%s\",\n"
         "    \"nproc\": %u,\n"
@@ -344,6 +353,8 @@ int run(const Options& opt) {
         "    \"evolve_serial_fleet\": %.1f,\n"
         "    \"evolve_batch_fleet\": %.1f,\n"
         "    \"forecast_rate_8h\": %.1f,\n"
+        "    \"forecast_rate_8h_2_per_tick\": %.1f,\n"
+        "    \"forecast_rate_8h_19_per_tick\": %.1f,\n"
         "    \"forecast_mixture_8h\": %.1f\n"
         "  },\n"
         "  \"speedups\": {\n"
@@ -370,7 +381,7 @@ int run(const Options& opt) {
         params.band_epsilon, kernels::active_backend(),
         matrix.mean_bandwidth(), matrix.max_bandwidth(), opt.min_time_s,
         dense_ns, banded_ns, serial_ns, batch_ns, rate_forecast_ns,
-        mixture_forecast_ns, banded_speedup,
+        rate_forecast_low_ns, rate_forecast_high_ns, mixture_forecast_ns, banded_speedup,
         batch_speedup, obs_overhead, obs_attempts, rec_overhead,
         rec_attempts);
     return std::string(buf);

@@ -250,6 +250,18 @@ void print_registry_tables(const MetricsFeed& feed) {
         static_cast<double>(flows) / static_cast<double>(passes), 2);
     batcher.print(std::cout);
   }
+
+  // The forecasts evolve their horizon steps only as far as the cautious
+  // quantile reads; a full evolve would be horizon × bins columns each.
+  const std::int64_t forecasts = feed_counter(feed, "forecast.single");
+  const std::int64_t columns = feed_counter(feed, "forecast.evolve.columns");
+  if (forecasts > 0) {
+    std::cout << "\nforecast horizon evolve:\n";
+    TableWriter horizon({"Forecasts", "Columns", "Columns/forecast"});
+    horizon.row().cell(forecasts).cell(columns).cell(
+        static_cast<double>(columns) / static_cast<double>(forecasts), 1);
+    horizon.print(std::cout);
+  }
 }
 
 int cmd_metrics(const std::string& path) {

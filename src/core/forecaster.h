@@ -65,22 +65,26 @@ class DeliveryForecaster {
  public:
   explicit DeliveryForecaster(const SproutParams& params);
 
-  // Produces the forecast for the posterior `current`, evolving a private
-  // copy forward tick by tick.  `now` stamps the forecast origin.  A
-  // non-null `first_step` receives the private copy after the first
-  // horizon step (untouched when the horizon is empty): one evolve of
-  // `current`, exactly the posterior's next tick evolve, which
+  // Produces the forecast for the posterior `current`.  `now` stamps the
+  // forecast origin.  A non-null `first_step` receives the first horizon
+  // step (untouched when the horizon is empty): one evolve of `current`,
+  // exactly the posterior's next tick evolve, which
   // BayesianForecastStrategy adopts instead of recomputing.
+  //
+  // The horizon steps M^h·p are evolved on demand, column block by column
+  // block, through TransitionMatrix::evolve_blocks: the rate-quantile scan
+  // at step h (the default, count_noise_in_forecast off) stops at the
+  // bin where the cumulative mass crosses the percentile, so only the
+  // columns below that crossing — and, recursively, the rows of earlier
+  // steps those columns read — are computed.  Every computed column holds
+  // the bits a full evolve gives it, so the forecast is bit-identical to
+  // evolving every step in full.  Step 1 when `first_step` is wanted, and
+  // every step of the mixture quantile (whose dot reads the whole support),
+  // are computed in full.  Under dense_inference each step is one full
+  // dense evolve.
   [[nodiscard]] DeliveryForecast forecast(
       const RateDistribution& current, TimePoint now,
       RateDistribution* first_step = nullptr) const;
-
-  // Forecasts several posteriors in one pass: the per-horizon evolution of
-  // all private copies runs through TransitionMatrix::evolve_batch, so N
-  // co-active flows pay each horizon's matrix traversal once.  Entry f is
-  // bit-identical to forecast(*dists[f], now).
-  [[nodiscard]] std::vector<DeliveryForecast> forecast_batch(
-      std::span<const RateDistribution* const> dists, TimePoint now) const;
 
   // The (100-confidence)th percentile of the cumulative-delivery mixture at
   // horizon h (1-based), in packets.  Exposed for tests and ablations.
@@ -96,8 +100,11 @@ class DeliveryForecaster {
                                      int floor = 0) const;
 
  private:
-  [[nodiscard]] double mixture_cdf(const RateDistribution& dist, int horizon,
-                                   int count) const;
+  // quantile_packets over a raw posterior (a forecast's horizon step).
+  [[nodiscard]] int quantile_packets_of(std::span<const double> p,
+                                        int horizon, int floor) const;
+  // Packets deliverable within `horizon` ticks at the rate of bin `bin`.
+  [[nodiscard]] int rate_packets(std::size_t bin, int horizon) const;
 
   SproutParams params_;
   // Shared, immutable kernel and CDF tables from the process-wide caches.

@@ -94,12 +94,23 @@ void RateDistribution::reset_uniform() {
   std::fill(p_.begin(), p_.end(), 1.0 / static_cast<double>(p_.size()));
 }
 
-std::pair<std::size_t, std::size_t> RateDistribution::support() const {
+std::pair<std::size_t, std::size_t> RateDistribution::nonzero_support(
+    std::span<const double> p) {
   std::size_t lo = 0;
-  std::size_t hi = p_.size();
-  while (lo < hi && p_[lo] <= 0.0) ++lo;
-  while (hi > lo && p_[hi - 1] <= 0.0) --hi;
+  std::size_t hi = p.size();
+  while (lo < hi && p[lo] <= 0.0) ++lo;
+  while (hi > lo && p[hi - 1] <= 0.0) --hi;
   return {lo, hi};
+}
+
+std::size_t RateDistribution::quantile_scan(std::span<const double> p,
+                                            double target, std::size_t from,
+                                            double& cum) {
+  for (std::size_t i = from; i < p.size(); ++i) {
+    cum += p[i];
+    if (cum >= target) return i;
+  }
+  return p.size();
 }
 
 bool RateDistribution::is_normalized(double tol) const {
@@ -122,13 +133,9 @@ double RateDistribution::mean(const SproutParams& params) const {
 double RateDistribution::quantile(const SproutParams& params,
                                   double percentile) const {
   assert(percentile >= 0.0 && percentile <= 100.0);
-  const double target = percentile / 100.0;
   double cum = 0.0;
-  for (int i = 0; i < num_bins(); ++i) {
-    cum += p_[i];
-    if (cum >= target) return params.bin_rate(i);
-  }
-  return params.bin_rate(num_bins() - 1);
+  const std::size_t bin = quantile_scan(p_, percentile / 100.0, 0, cum);
+  return params.bin_rate(static_cast<int>(std::min(bin, p_.size() - 1)));
 }
 
 TransitionMatrix::TransitionMatrix(const SproutParams& params)
@@ -259,6 +266,7 @@ void TransitionMatrix::build_blocks() {
   block_off_.resize(nblocks);
   block_row_begin_.resize(nblocks);
   block_row_end_.resize(nblocks);
+  rows_read_.resize(nblocks);
   block_vals_.clear();
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t j0 = 4 * b;
@@ -281,6 +289,8 @@ void TransitionMatrix::build_blocks() {
     }
     block_row_begin_[b] = static_cast<int>(begin);
     block_row_end_[b] = static_cast<int>(end);
+    rows_read_[b] = std::max(b == 0 ? 0 : rows_read_[b - 1],
+                             static_cast<int>(end));
     block_off_[b] = block_vals_.size();
     for (std::size_t i = begin; i < end; ++i) {
       const auto lo = static_cast<std::size_t>(band_lo_[i]);
@@ -319,7 +329,7 @@ void TransitionMatrix::evolve(RateDistribution& dist) const {
     evolves.add();
   }
   RateDistribution* const one[] = {&dist};
-  evolve_blocks(one);
+  evolve_in_place(one);
 }
 
 void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
@@ -360,31 +370,18 @@ void TransitionMatrix::evolve_batch(
     passes.add();
     flows_evolved.add(static_cast<std::int64_t>(dists.size()));
   }
-  evolve_blocks(dists);
+  evolve_in_place(dists);
 }
 
-void TransitionMatrix::evolve_blocks(
+void TransitionMatrix::evolve_in_place(
     std::span<RateDistribution* const> dists) const {
   const std::size_t flows = dists.size();
-  // Block-column sweep over the precomputed tiles (build_blocks): for each
-  // 4-column output block, every flow's accumulator lives in a register
-  // across the block's whole row range while the value tiles stream once
-  // for all flows — no scratch traffic in the inner loop at all.
-  //
-  // Per output column the kernel adds p[i] * M[i][j] in ascending-row order
-  // from +0.0, the product p·M column by column.  Rows with p[i] = 0 and
-  // zero-padded tile lanes (rows whose band misses a column) contribute
-  // exactly +0.0, which cannot change the bits of a non-negative
-  // accumulator.  So each flow's result is the same whatever the batch
-  // size, and rows outside every flow's nonzero support can be skipped:
-  // each block sweeps only its rows inside the flows' joint support.
-  const std::size_t nblocks = block_row_begin_.size();
-  const std::size_t npad = nblocks * 4;  // stripes padded to the block grid
+  const std::size_t npad = num_blocks() * 4;  // stripes padded to the grid
   thread_local std::vector<double> scratch;
-  thread_local std::vector<const double*> coeffs;
+  thread_local std::vector<const double*> ins;
   thread_local std::vector<double*> outs;
   scratch.resize(flows * npad);  // every stripe block is overwritten below
-  coeffs.resize(flows);
+  ins.resize(flows);
   outs.resize(flows);
   std::size_t support_lo = n_;
   std::size_t support_hi = 0;
@@ -395,16 +392,49 @@ void TransitionMatrix::evolve_blocks(
       support_lo = std::min(support_lo, lo);
       support_hi = std::max(support_hi, hi);
     }
+    ins[f] = dists[f]->probabilities().data();
+    outs[f] = scratch.data() + f * npad;
   }
+  evolve_blocks(ins, outs, support_lo, support_hi, 0, num_blocks());
+  for (std::size_t f = 0; f < flows; ++f) {
+    std::vector<double>& p = dists[f]->mutable_probabilities();
+    std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(f * npad),
+              scratch.begin() + static_cast<std::ptrdiff_t>(f * npad + n_),
+              p.begin());
+  }
+}
+
+void TransitionMatrix::evolve_blocks(std::span<const double* const> in,
+                                     std::span<double* const> out,
+                                     std::size_t row_lo, std::size_t row_hi,
+                                     std::size_t block_begin,
+                                     std::size_t block_end) const {
+  assert(in.size() == out.size());
+  assert(block_end <= num_blocks());
+  const std::size_t flows = in.size();
+  // Block-column sweep over the precomputed tiles (build_blocks): for each
+  // 4-column output block, every flow's accumulator lives in a register
+  // across the block's whole row range while the value tiles stream once
+  // for all flows — no scratch traffic in the inner loop at all.
+  //
+  // Per output column the kernel adds p[i] * M[i][j] in ascending-row order
+  // from +0.0, the product p·M column by column.  Rows with p[i] = 0 and
+  // zero-padded tile lanes (rows whose band misses a column) contribute
+  // exactly +0.0, which cannot change the bits of a non-negative
+  // accumulator.  So each flow's result is the same whatever the batch
+  // size, whichever blocks are computed together, and whatever zero rows
+  // the caller's [row_lo, row_hi) leaves in or out.
+  thread_local std::vector<const double*> coeffs;
+  thread_local std::vector<double*> outs;
+  coeffs.resize(flows);
+  outs.resize(flows);
   std::int64_t ws4_calls = 0;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t begin = std::max(
-        static_cast<std::size_t>(block_row_begin_[b]), support_lo);
+  for (std::size_t b = block_begin; b < block_end; ++b) {
+    const std::size_t begin =
+        std::max(static_cast<std::size_t>(block_row_begin_[b]), row_lo);
     const std::size_t end =
-        std::min(static_cast<std::size_t>(block_row_end_[b]), support_hi);
-    for (std::size_t f = 0; f < flows; ++f) {
-      outs[f] = scratch.data() + f * npad + 4 * b;
-    }
+        std::min(static_cast<std::size_t>(block_row_end_[b]), row_hi);
+    for (std::size_t f = 0; f < flows; ++f) outs[f] = out[f] + 4 * b;
     if (begin >= end) {
       // No row with mass reaches these columns: they evolve to zero.
       for (std::size_t f = 0; f < flows; ++f) {
@@ -412,9 +442,7 @@ void TransitionMatrix::evolve_blocks(
       }
       continue;
     }
-    for (std::size_t f = 0; f < flows; ++f) {
-      coeffs[f] = dists[f]->probabilities().data() + begin;
-    }
+    for (std::size_t f = 0; f < flows; ++f) coeffs[f] = in[f] + begin;
     const std::size_t tile_row =
         begin - static_cast<std::size_t>(block_row_begin_[b]);
     kernels::weighted_sum4(&block_vals_[block_off_[b] + 4 * tile_row],
@@ -422,12 +450,6 @@ void TransitionMatrix::evolve_blocks(
     ++ws4_calls;
   }
   if (obs::enabled()) tally_weighted_sum4_calls(ws4_calls);
-  for (std::size_t f = 0; f < flows; ++f) {
-    std::vector<double>& p = dists[f]->mutable_probabilities();
-    std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(f * npad),
-              scratch.begin() + static_cast<std::ptrdiff_t>(f * npad + n_),
-              p.begin());
-  }
 }
 
 SproutBayesFilter::SproutBayesFilter(const SproutParams& params)

@@ -35,7 +35,21 @@ class RateDistribution {
   // Nonzero support [lo, hi): every bin outside it holds exactly 0.0.
   // Interior zeros stay inside; only the tails are clipped, which is where
   // log-space observations actually zero mass out.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> support() const;
+  [[nodiscard]] std::pair<std::size_t, std::size_t> support() const {
+    return nonzero_support(p_);
+  }
+  [[nodiscard]] static std::pair<std::size_t, std::size_t> nonzero_support(
+      std::span<const double> p);
+
+  // The ascending scan behind quantile(): adds p[i] to `cum` for i from
+  // `from` on and returns the first i at which cum >= target, or p.size()
+  // if the scan runs out first.  Resumable: a caller that learns more bins
+  // later continues from where it stopped with the same `cum` (the
+  // forecaster scans horizon steps whose columns it evolves on demand).
+  [[nodiscard]] static std::size_t quantile_scan(std::span<const double> p,
+                                                 double target,
+                                                 std::size_t from,
+                                                 double& cum);
 
   // Distribution sanity: sums to one within tolerance.
   [[nodiscard]] bool is_normalized(double tol = 1e-9) const;
@@ -59,7 +73,8 @@ class RateDistribution {
 //    row's mass (ε = SproutParams::band_epsilon), packed contiguously and
 //    renormalized, then repacked into 4-column block tiles and evolved in
 //    O(bins · bandwidth) by kernels::weighted_sum4 (util/kernels.h) — the
-//    same kernel for one flow and for a batch;
+//    same kernel for one flow, for a batch, and for any range of output
+//    column blocks (evolve_blocks);
 //  * dense: the full bins² pass, bit-for-bit the historical arithmetic,
 //    kept as the exact-reference path (SproutParams::dense_inference).
 // ε = 0 trims only entries that are EXACTLY zero (underflowed Gaussian
@@ -84,6 +99,28 @@ class TransitionMatrix {
   // run evolve_blocks, whose per-flow arithmetic ignores the batch size.
   void evolve_batch(std::span<RateDistribution* const> dists) const;
 
+  // The banded pass behind evolve and evolve_batch (uncounted), for the
+  // output blocks [block_begin, block_end) only: writes columns
+  // [4·block_begin, 4·block_end) of in[f]·M to out[f] (out arrays padded to
+  // 4·num_blocks() entries), reading only rows [row_lo, row_hi) of each
+  // in[f] — rows outside it need not be valid memory.  Those the blocks
+  // reach (all below rows_read(block_end)) must hold exactly 0.0 in every
+  // flow.  Per column the arithmetic is the full pass's, so any block
+  // range gives those columns' exact bits:
+  // DeliveryForecaster::forecast evolves its horizon steps block range by
+  // block range, only as far as its quantile scans read.
+  void evolve_blocks(std::span<const double* const> in,
+                     std::span<double* const> out, std::size_t row_lo,
+                     std::size_t row_hi, std::size_t block_begin,
+                     std::size_t block_end) const;
+  // Output blocks of 4 columns (the last one may be partly past num_bins).
+  [[nodiscard]] std::size_t num_blocks() const { return block_row_end_.size(); }
+  // Rows of the input that output blocks [0, blocks) read: the prefix max
+  // of the blocks' row ranges.
+  [[nodiscard]] std::size_t rows_read(std::size_t blocks) const {
+    return blocks == 0 ? 0 : static_cast<std::size_t>(rows_read_[blocks - 1]);
+  }
+
   [[nodiscard]] double entry(int from, int to) const {
     return m_[static_cast<std::size_t>(from) * n_ + static_cast<std::size_t>(to)];
   }
@@ -101,8 +138,9 @@ class TransitionMatrix {
  private:
   void build_band(double epsilon);
   void build_blocks();
-  // The banded pass behind evolve and evolve_batch (uncounted).
-  void evolve_blocks(std::span<RateDistribution* const> dists) const;
+  // evolve_blocks over all blocks, clipped to the flows' joint support, in
+  // place through thread-local scratch (uncounted).
+  void evolve_in_place(std::span<RateDistribution* const> dists) const;
 
   std::size_t n_;
   std::vector<double> m_;  // row-major: m_[from][to], exact rows
@@ -125,6 +163,7 @@ class TransitionMatrix {
   std::vector<std::size_t> block_off_;
   std::vector<int> block_row_begin_;
   std::vector<int> block_row_end_;
+  std::vector<int> rows_read_;  // prefix max of block_row_end_
 };
 
 // Routes one evolve through the path `params` selects: the banded fast

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/strategy.h"
+#include "obs/metrics.h"
+#include "util/kernels.h"
 
 namespace sprout {
 namespace {
@@ -143,25 +146,214 @@ TEST(Forecast, FloorHintNeverChangesTheForecast) {
   }
 }
 
+// The forecast with every horizon step evolved in full (TransitionMatrix::
+// evolve, then the percentile scan): the reference the on-demand horizon
+// evolve must match bit for bit.  `first_step` receives step 1.
+DeliveryForecast full_evolve_forecast(const SproutParams& p,
+                                      const RateDistribution& d, TimePoint now,
+                                      RateDistribution* first_step = nullptr) {
+  const auto kernel = TransitionMatrixCache::get(p);
+  const DeliveryForecaster mixture(p);  // count_noise_in_forecast's quantile
+  DeliveryForecast f;
+  f.origin = now;
+  f.tick = p.tick;
+  RateDistribution evolved = d;
+  int floor = 0;
+  for (int h = 1; h <= p.forecast_horizon_ticks; ++h) {
+    kernel->evolve(evolved);
+    if (h == 1 && first_step != nullptr) *first_step = evolved;
+    if (p.count_noise_in_forecast) {
+      floor = mixture.quantile_packets(evolved, h, floor);
+    } else {
+      const double rate = evolved.quantile(p, p.forecast_percentile());
+      floor = std::max(floor, static_cast<int>(rate * p.tick_seconds() *
+                                               static_cast<double>(h)));
+    }
+    f.cumulative_bytes.push_back(static_cast<ByteCount>(floor) * p.mtu);
+  }
+  return f;
+}
+
+bool same_bits(const RateDistribution& a, const RateDistribution& b) {
+  return a.num_bins() == b.num_bins() &&
+         std::memcmp(a.probabilities().data(), b.probabilities().data(),
+                     a.probabilities().size() * sizeof(double)) == 0;
+}
+
+// forecast() against the full-evolve reference, with and without the first
+// step handed back; the first step must be evolve(d) bit for bit.
+::testing::AssertionResult matches_full_evolve(const SproutParams& p,
+                                               const DeliveryForecaster& fc,
+                                               const RateDistribution& d) {
+  const TimePoint now = TimePoint{} + sec(2);
+  RateDistribution got_first(p.num_bins);
+  RateDistribution want_first(p.num_bins);
+  const DeliveryForecast want = full_evolve_forecast(p, d, now, &want_first);
+  const DeliveryForecast got = fc.forecast(d, now, &got_first);
+  const DeliveryForecast bare = fc.forecast(d, now);
+  if (got.origin != want.origin || got.tick != want.tick) {
+    return ::testing::AssertionFailure() << "stamps differ";
+  }
+  if (got.cumulative_bytes != want.cumulative_bytes ||
+      bare.cumulative_bytes != want.cumulative_bytes) {
+    return ::testing::AssertionFailure() << "cumulative bytes differ";
+  }
+  if (p.forecast_horizon_ticks > 0 && !same_bits(got_first, want_first)) {
+    return ::testing::AssertionFailure() << "first step differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class BackendGuard {
+ public:
+  BackendGuard() : saved_(kernels::active_backend()) {}
+  ~BackendGuard() { kernels::force_backend(saved_.c_str()); }
+
+ private:
+  std::string saved_;
+};
+
 TEST(Forecast, BatchBitIdenticalToSerialForecasts) {
   SproutParams p;
   DeliveryForecaster fc(p);
-  std::vector<RateDistribution> dists;
   for (const int per_tick : {0, 3, 10, 14, 19}) {
-    dists.push_back(locked_at(p, per_tick));
+    EXPECT_TRUE(matches_full_evolve(p, fc, locked_at(p, per_tick)))
+        << "rate " << per_tick;
   }
-  std::vector<const RateDistribution*> ptrs;
-  for (const auto& d : dists) ptrs.push_back(&d);
-  const TimePoint now = TimePoint{} + sec(2);
-  const std::vector<DeliveryForecast> batch = fc.forecast_batch(ptrs, now);
-  ASSERT_EQ(batch.size(), dists.size());
-  for (std::size_t f = 0; f < dists.size(); ++f) {
-    const DeliveryForecast serial = fc.forecast(dists[f], now);
-    ASSERT_EQ(batch[f].ticks(), serial.ticks()) << "flow " << f;
-    EXPECT_EQ(batch[f].origin, serial.origin);
-    EXPECT_EQ(batch[f].cumulative_bytes, serial.cumulative_bytes)
-        << "flow " << f;
+}
+
+TEST(Forecast, OnDemandHorizonIsBitIdenticalToFullEvolve) {
+  const BackendGuard guard;
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::force_backend(backend)) continue;
+    for (const double eps : {SproutParams{}.band_epsilon, 0.0}) {
+      for (const int horizon : {1, 8, 16}) {
+        for (const bool noise : {false, true}) {
+          SproutParams p;
+          p.band_epsilon = eps;
+          p.forecast_horizon_ticks = horizon;
+          p.count_noise_in_forecast = noise;
+          const DeliveryForecaster fc(p);
+          std::vector<RateDistribution> posteriors;
+          posteriors.emplace_back(p.num_bins);  // uniform
+          RateDistribution outage(p.num_bins);  // mostly in the outage bin
+          std::fill(outage.mutable_probabilities().begin(),
+                    outage.mutable_probabilities().end(), 0.0);
+          outage.mutable_probabilities()[0] = 0.97;
+          outage.mutable_probabilities()[1] = 0.02;
+          outage.mutable_probabilities()[40] = 0.01;
+          posteriors.push_back(outage);
+          RateDistribution top(p.num_bins);  // at the top of the grid
+          std::fill(top.mutable_probabilities().begin(),
+                    top.mutable_probabilities().end(), 0.0);
+          top.mutable_probabilities()[p.num_bins - 2] = 0.25;
+          top.mutable_probabilities()[p.num_bins - 1] = 0.75;
+          posteriors.push_back(top);
+          // A thin low mode the kernel spreads upward: each step's crossing
+          // climbs past the previous step's block, so the scans must grow
+          // their steps beyond the predicted prefix.
+          RateDistribution rising(p.num_bins);
+          std::fill(rising.mutable_probabilities().begin(),
+                    rising.mutable_probabilities().end(), 0.0);
+          rising.mutable_probabilities()[1] = 0.06;
+          rising.mutable_probabilities()[128] = 0.94;
+          posteriors.push_back(rising);
+          for (int per_tick = 0; per_tick <= 19; ++per_tick) {
+            posteriors.push_back(locked_at(p, per_tick));
+          }
+          for (std::size_t i = 0; i < posteriors.size(); ++i) {
+            EXPECT_TRUE(matches_full_evolve(p, fc, posteriors[i]))
+                << backend << " eps=" << eps << " horizon=" << horizon
+                << " noise=" << noise << " posterior " << i;
+          }
+        }
+      }
+    }
   }
+}
+
+TEST(Forecast, OnDemandHorizonMatchesWithACrossingInTheLastBlock) {
+  // A narrow kernel keeps a top-of-grid posterior in the top bins, so every
+  // step's percentile crossing falls in the last column block: the scan
+  // pulls each step's whole prefix, one block at a time.
+  const BackendGuard guard;
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::force_backend(backend)) continue;
+    SproutParams p;
+    p.sigma_pps_per_sqrt_s = 10.0;
+    const DeliveryForecaster fc(p);
+    RateDistribution top(p.num_bins);
+    std::fill(top.mutable_probabilities().begin(),
+              top.mutable_probabilities().end(), 0.0);
+    top.mutable_probabilities()[p.num_bins - 1] = 1.0;
+    RateDistribution last = top;
+    const auto kernel = TransitionMatrixCache::get(p);
+    for (int h = 0; h < p.forecast_horizon_ticks; ++h) kernel->evolve(last);
+    const auto last_block_start = static_cast<int>(4 * (kernel->num_blocks() - 1));
+    ASSERT_GE(last.quantile(p, p.forecast_percentile()),
+              p.bin_rate(last_block_start));
+    EXPECT_TRUE(matches_full_evolve(p, fc, top)) << backend;
+  }
+}
+
+TEST(Forecast, OnDemandHorizonTracksAScriptedFilterRun) {
+  // 400 ticks of a filter locking on, ramping, blacking out and recovering,
+  // with censored and zero ticks: every tick's forecast must match.
+  const BackendGuard guard;
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::force_backend(backend)) continue;
+    for (const double eps : {SproutParams{}.band_epsilon, 0.0}) {
+      for (const int horizon : {1, 8, 16}) {
+        for (const bool noise : {false, true}) {
+          SproutParams p;
+          p.band_epsilon = eps;
+          p.forecast_horizon_ticks = horizon;
+          p.count_noise_in_forecast = noise;
+          const DeliveryForecaster fc(p);
+          SproutBayesFilter filter(p);
+          std::mt19937_64 rng(14);
+          for (int t = 0; t < 400; ++t) {
+            filter.evolve();
+            const int level = t < 100 ? 3 : t < 200 ? 17 : t < 240 ? 0 : 8;
+            const auto packets =
+                std::max(0, level + static_cast<int>(rng() % 5) - 2);
+            if (rng() % 7 == 0) {
+              filter.observe_at_least(packets);
+            } else if (rng() % 11 != 0) {  // else: an unobserved tick
+              filter.observe(packets);
+            }
+            ASSERT_TRUE(matches_full_evolve(p, fc, filter.distribution()))
+                << backend << " eps=" << eps << " horizon=" << horizon
+                << " noise=" << noise << " tick " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Forecast, LowRatePosteriorEvolvesOnlyTheColumnsItReads) {
+  // At 2 packets/tick the 5th-percentile crossing sits in the first column
+  // blocks, so the later steps stop far short of the full grid.  Each
+  // forecast still counts one banded evolve per horizon step.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  SproutParams p;
+  const DeliveryForecaster fc(p);
+  const RateDistribution d = locked_at(p, 2);
+  RateDistribution first(p.num_bins);
+  obs::Registry& reg = obs::Registry::instance();
+  const std::int64_t columns0 = reg.counter("forecast.evolve.columns").value();
+  const std::int64_t banded0 = reg.counter("filter.evolve.banded").value();
+  const DeliveryForecast f = fc.forecast(d, TimePoint{}, &first);
+  const std::int64_t columns =
+      reg.counter("forecast.evolve.columns").value() - columns0;
+  const std::int64_t banded = reg.counter("filter.evolve.banded").value() - banded0;
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(f.ticks(), 8);
+  EXPECT_EQ(banded, 8);
+  EXPECT_GE(columns, p.num_bins);  // step 1 in full, for `first`
+  EXPECT_LT(columns, 8 * p.num_bins);
 }
 
 TEST(EwmaStrategy, FlatExtrapolationAtEstimatedRate) {
