@@ -13,7 +13,7 @@
 //
 // `metrics` prints the slowest cells, per-worker utilization, the fault
 // log, and — from the summary event's registry snapshot — cache hit rates
-// and batcher utilization.  `validate-*` are the CI schema gates: they
+// and the forecasts' horizon-evolve columns.  `validate-*` are the CI schema gates: they
 // parse every line/event strictly and exit non-zero on the first
 // violation.  `strip-runtime` removes the `"runtime"` stamps from a merged
 // sweep (or shard/journal) file so it byte-diffs against a run that never
@@ -240,16 +240,6 @@ void print_registry_tables(const MetricsFeed& feed) {
               1);
   }
   caches.print(std::cout);
-
-  const std::int64_t flows = feed_counter(feed, "batcher.batched_flows");
-  const std::int64_t passes = feed_counter(feed, "batcher.batch_passes");
-  if (passes > 0) {
-    std::cout << "\nbatcher utilization:\n";
-    TableWriter batcher({"Batched flows", "Passes", "Flows/pass"});
-    batcher.row().cell(flows).cell(passes).cell(
-        static_cast<double>(flows) / static_cast<double>(passes), 2);
-    batcher.print(std::cout);
-  }
 
   // The forecasts evolve their horizon steps only as far as the cautious
   // quantile reads; a full evolve would be horizon × bins columns each.

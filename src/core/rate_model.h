@@ -199,8 +199,7 @@ class SproutBayesFilter {
   explicit SproutBayesFilter(const SproutParams& params);
 
   // Step 1: Brownian evolution across one tick.  A no-op consuming the
-  // pending-batch mark if this tick's evolution already ran through
-  // evolve_batch (see below).
+  // batch mark if evolve_batch (below) already ran this tick's evolution.
   void evolve();
 
   // Step 1 with the result already known: swaps in `evolved`, which must be
@@ -212,10 +211,11 @@ class SproutBayesFilter {
   // Evolves several filters in one matrix pass per shared kernel.  Filters
   // are grouped by their (cache-shared) TransitionMatrix; each group runs
   // TransitionMatrix::evolve_batch, and each batched filter's next evolve()
-  // call becomes a no-op, so callers that cannot reorder the per-filter
-  // tick logic (the scenario event loop) can hoist just the evolution.
-  // Filters under dense_inference evolve individually (exact reference).
-  // Bit-identical to calling evolve() on each filter in order.
+  // call becomes a no-op, so a caller can hoist just the evolution ahead of
+  // per-filter tick logic it cannot reorder.  Filters under dense_inference
+  // evolve individually (exact reference).  Bit-identical to calling
+  // evolve() on each filter in order.  No simulation path batches filters;
+  // the perf benchmarks (bench/perf_trajectory, perfbench) time it.
   static void evolve_batch(std::span<SproutBayesFilter* const> filters);
 
   // Steps 2+3: Bayesian update on `packets` observed during a tick covering

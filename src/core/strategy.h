@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/forecaster.h"
 #include "core/params.h"
@@ -36,13 +35,6 @@ class ForecastStrategy {
 
   // Point estimate of the current rate (diagnostics/plots).
   [[nodiscard]] virtual double estimated_rate_pps() const = 0;
-
-  // Appends the Bayes filters whose per-tick evolution may be hoisted into
-  // a cross-flow batch (see SproutBayesFilter::evolve_batch and
-  // core/tick_batcher.h).  Strategies without batchable filters (EWMA,
-  // empirical, and Bayesian, whose tick evolve comes from its forecast)
-  // append nothing.
-  virtual void collect_batch_filters(std::vector<SproutBayesFilter*>&) {}
 };
 
 // The paper's Bayesian filter + cautious percentile forecast.
@@ -53,8 +45,7 @@ class ForecastStrategy {
 // strategy keeps it and advance_tick() adopts it, so a tick costs only the
 // forecast's horizon evolves, bit-identically.  Any posterior
 // update in between (observe, or a second tick without a forecast) drops
-// the kept step and the filter evolves as usual.  With no evolve left to
-// hoist, Bayesian filters offer nothing to the cross-flow batcher.
+// the kept step and the filter evolves as usual.
 class BayesianForecastStrategy : public ForecastStrategy {
  public:
   explicit BayesianForecastStrategy(const SproutParams& params);

@@ -18,10 +18,6 @@ void FlowMetrics::record(DeliveryRecord r) {
   }
   if (!streaming_) {
     records_.push_back(r);
-    if (hist_.configured() && r.received_at >= window_from_ &&
-        r.received_at < window_to_) {
-      hist_.add(r.received_at - r.sent_at);
-    }
     return;
   }
   if (r.received_at >= window_from_ && r.received_at < window_to_) {
@@ -34,15 +30,6 @@ void FlowMetrics::enable_streaming(Duration hist_bin, Duration hist_max,
                                    TimePoint from, TimePoint to) {
   assert(records_.empty() && "enable_streaming before any delivery");
   streaming_ = true;
-  window_from_ = from;
-  window_to_ = to;
-  hist_ = DelayHistogram(hist_bin, hist_max);
-}
-
-void FlowMetrics::enable_histogram(Duration hist_bin, Duration hist_max,
-                                   TimePoint from, TimePoint to) {
-  assert(records_.empty() && "enable_histogram before any delivery");
-  assert(!streaming_ && "enable_streaming already covers the histogram");
   window_from_ = from;
   window_to_ = to;
   hist_ = DelayHistogram(hist_bin, hist_max);
@@ -62,6 +49,18 @@ double FlowMetrics::throughput_kbps(TimePoint from, TimePoint to) const {
     if (r.received_at >= from && r.received_at < to) bytes += r.size;
   }
   return kbps(bytes, to - from);
+}
+
+DelayHistogram FlowMetrics::delay_histogram(Duration bin, Duration max,
+                                           TimePoint from,
+                                           TimePoint to) const {
+  DelayHistogram hist(bin, max);
+  for (const DeliveryRecord& r : records_) {
+    if (r.received_at >= from && r.received_at < to) {
+      hist.add(r.received_at - r.sent_at);
+    }
+  }
+  return hist;
 }
 
 RampFunctionPercentile FlowMetrics::delay_signal(TimePoint from,

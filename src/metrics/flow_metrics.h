@@ -27,6 +27,9 @@ struct DeliveryRecord {
   ByteCount size;
 };
 
+// Two modes.  Retained (the default) keeps every delivery record, which the
+// §5.1 sawtooth analyses need; streaming (enable_streaming) keeps O(1)
+// state per flow for the tower's populations.
 class FlowMetrics {
  public:
   void record(const Packet& p, TimePoint received_at);
@@ -45,23 +48,14 @@ class FlowMetrics {
                         TimePoint to);
   [[nodiscard]] bool streaming() const { return streaming_; }
 
-  // Streaming delay histogram ALONGSIDE the retained record list: unlike
-  // enable_streaming, record() keeps appending to records_ (the §5.1
-  // sawtooth analyses stay available) and ALSO folds each in-window
-  // delivery into the histogram.  This is how the non-streaming topologies
-  // (single-flow, shared-queue, tunnel) report p50/p95/p99/p999 through
-  // the same DelayHistogram the tower streams — ROADMAP 5(b).
-  void enable_histogram(Duration hist_bin, Duration hist_max, TimePoint from,
-                        TimePoint to);
-
   // Flight-recorder tap (metrics/recorder.h); null detaches.  Every
   // delivery record is forwarded to the recorder, which bins it.  The
   // recorder must outlive this object.
   void set_timeline_recorder(FlowTimelineRecorder* recorder) {
     timeline_ = recorder;
   }
-  // The delay histogram (unconfigured unless enable_streaming or
-  // enable_histogram ran).
+  // The streaming delay histogram (unconfigured unless enable_streaming
+  // ran).
   [[nodiscard]] const DelayHistogram& histogram() const { return hist_; }
   // Bytes received inside the streaming window [from, to).
   [[nodiscard]] ByteCount window_bytes() const { return window_bytes_; }
@@ -74,6 +68,15 @@ class FlowMetrics {
 
   // Average rate of bytes received inside [from, to), in kbit/s.
   [[nodiscard]] double throughput_kbps(TimePoint from, TimePoint to) const;
+
+  // Per-packet one-way delays of the retained records received inside
+  // [from, to), binned in record order: the same histogram streaming mode
+  // would have built over that window, bit for bit.  This is how the
+  // retained topologies (single-flow, shared-queue, tunnel) report
+  // p50/p95/p99/p999 through the DelayHistogram the tower streams.
+  [[nodiscard]] DelayHistogram delay_histogram(Duration bin, Duration max,
+                                               TimePoint from,
+                                               TimePoint to) const;
 
   // Percentile (e.g. 95) of the instantaneous-delay signal over [from, to),
   // in milliseconds.  Exact (closed-form over the sawtooth), not sampled.
@@ -99,7 +102,7 @@ class FlowMetrics {
   TimePoint window_from_{};
   TimePoint window_to_{};
   ByteCount window_bytes_ = 0;
-  DelayHistogram hist_;  // unconfigured unless streaming/enable_histogram
+  DelayHistogram hist_;  // unconfigured unless streaming
   FlowTimelineRecorder* timeline_ = nullptr;
 };
 

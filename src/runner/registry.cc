@@ -64,10 +64,6 @@ std::unique_ptr<MeasuredSink> make_measured(const FlowContext& ctx,
     const StreamingMetricsConfig& cfg = *ctx.streaming_metrics;
     sink->metrics().enable_streaming(cfg.hist_bin, cfg.hist_max, cfg.from,
                                      cfg.to);
-  } else if (ctx.delay_histogram != nullptr) {
-    const StreamingMetricsConfig& cfg = *ctx.delay_histogram;
-    sink->metrics().enable_histogram(cfg.hist_bin, cfg.hist_max, cfg.from,
-                                     cfg.to);
   }
   sink->metrics().set_timeline_recorder(ctx.timeline);
   return sink;
@@ -90,10 +86,6 @@ class SproutFlow : public SchemeFlow {
         measured_(make_measured(ctx, rx_.get())) {
     tx_->attach_network(ctx.forward_link);
     rx_->attach_network(ctx.reverse_link);
-    if (ctx.evolve_batcher != nullptr) {
-      tx_->set_evolve_batcher(ctx.evolve_batcher);
-      rx_->set_evolve_batcher(ctx.evolve_batcher);
-    }
     // The rx_ endpoint receives the flow's data, so ITS receiver infers
     // the forward link — that forecast is the one a timeline plots
     // against the forward link's realized capacity.

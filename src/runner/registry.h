@@ -27,8 +27,6 @@
 
 namespace sprout {
 
-class TickEvolveBatcher;
-
 // When set on a FlowContext, the flow's MeasuredSink runs FlowMetrics in
 // streaming mode: per-packet delays fold into a fixed-bin histogram over
 // [from, to) instead of a retained delivery log.  Tower scenarios set this
@@ -52,17 +50,11 @@ struct FlowContext {
   const Trace& forward_trace;   // ground truth (omniscient baseline scheme)
   Duration propagation_delay;
   Duration run_time;
-  // Scenario-wide cross-flow evolution batcher (core/tick_batcher.h); null
-  // when the scenario runs without one.  Sprout-family flows register their
-  // endpoints so same-instant Bayes-filter evolutions merge.
-  TickEvolveBatcher* evolve_batcher = nullptr;
   // Non-null => the flow's measured sink aggregates streaming metrics
-  // instead of retaining delivery records (tower scenarios).
+  // instead of retaining delivery records (tower scenarios).  Null keeps
+  // the records, from which the scenario bins each FlowResult's delay
+  // histogram (FlowMetrics::delay_histogram).
   const StreamingMetricsConfig* streaming_metrics = nullptr;
-  // Non-null => the flow's measured sink ALSO maintains a streaming delay
-  // histogram alongside its retained records (non-streaming topologies;
-  // ignored when streaming_metrics is set, which already configures one).
-  const StreamingMetricsConfig* delay_histogram = nullptr;
   // Non-null => the flow records a timeline (metrics/recorder.h): the
   // measured sink feeds deliveries and Sprout-family receivers feed their
   // forecasts.  Scenario-owned; must outlive the flow.

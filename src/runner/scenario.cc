@@ -13,7 +13,6 @@
 #include "aqm/pie.h"
 #include "cc/cubic.h"
 #include "cc/tcp_endpoint.h"
-#include "core/tick_batcher.h"
 #include "link/cellsim.h"
 #include "metrics/flow_metrics.h"
 #include "obs/metrics.h"
@@ -498,19 +497,6 @@ void validate_flow_spec(const ScenarioSpec& spec, const FlowSpec& flow,
   }
 }
 
-// Non-tower topologies maintain their streaming delay histogram alongside
-// the retained record list (ROADMAP 5(b)) with the tower's default
-// geometry, so flow_metrics(i).delay_stats() reports the same fixed-bin
-// p50/p95/p99/p999 on every topology.
-StreamingMetricsConfig delay_hist_config(TimePoint from, TimePoint to) {
-  StreamingMetricsConfig cfg;
-  cfg.hist_bin = msec(5);
-  cfg.hist_max = sec(20);
-  cfg.from = from;
-  cfg.to = to;
-  return cfg;
-}
-
 }  // namespace
 
 namespace detail {
@@ -618,9 +604,7 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
 
   // Each flow is measured over its own activity window clipped to the
   // measurement window; cross-flow comparisons use the co-active window,
-  // the interval where EVERY flow was live.  Pure functions of the spec,
-  // so computable before the run — the streaming histograms and timeline
-  // recorders need the windows up front.
+  // the interval where EVERY flow was live.
   std::vector<TimePoint> flow_from(flow_specs.size());
   std::vector<TimePoint> flow_to(flow_specs.size());
   TimePoint co_from = meas_from;
@@ -635,11 +619,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
     co_to = std::min(co_to, flow_to[f]);
   }
   const bool coactive = co_from < co_to;
-
-  std::vector<StreamingMetricsConfig> delay_cfgs(flow_specs.size());
-  for (std::size_t f = 0; f < flow_specs.size(); ++f) {
-    delay_cfgs[f] = delay_hist_config(flow_from[f], flow_to[f]);
-  }
 
   // Flight recorders (if asked): one per flow for forecast + delivery
   // columns, plus one link-level recorder whose queue-depth and drop
@@ -659,9 +638,7 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
   }
 
   // Declared before the flows: each SchemeFlow holds references to its
-  // gates and (Sprout family) the batcher, so both must outlive the flows
-  // at scope exit.
-  TickEvolveBatcher evolve_batcher;
+  // gates, so they must outlive the flows at scope exit.
   std::vector<std::unique_ptr<GateSink>> gates;
   std::vector<std::unique_ptr<SchemeFlow>> flows;
   flows.reserve(flow_specs.size());
@@ -688,9 +665,7 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
                     fwd_link.trace(),
                     spec.propagation_delay_fwd,
                     spec.run_time,
-                    &evolve_batcher,
                     /*streaming_metrics=*/nullptr,
-                    &delay_cfgs[f],
                     spec.record_timeline ? flow_recs[f].get() : nullptr};
     auto flow = schemes[f]->make_flow(ctx);
     fwd_demux.route(id, flow->data_egress());
@@ -729,7 +704,7 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
     fr.mean_delay_ms = m.mean_delay_ms(from, to);
     fr.delivered_bytes =
         fwd_demux.delivered_bytes(static_cast<std::int64_t>(f) + 1);
-    fr.delay_hist = m.histogram();
+    fr.delay_hist = m.delay_histogram(kDelayHistBin, kDelayHistMax, from, to);
     if (spec.record_timeline) {
       fr.timeline = flow_recs[f]->finalize(&fwd_link.trace(), link_rec.get());
     }
@@ -837,13 +812,6 @@ ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
 
   MeasuredSink measured_cubic(sim, tcp_rx);
   MeasuredSink measured_skype(sim, video_rx);
-  {
-    const StreamingMetricsConfig cfg = delay_hist_config(from, to);
-    measured_cubic.metrics().enable_histogram(cfg.hist_bin, cfg.hist_max,
-                                              cfg.from, cfg.to);
-    measured_skype.metrics().enable_histogram(cfg.hist_bin, cfg.hist_max,
-                                              cfg.from, cfg.to);
-  }
 
   // Flight recorders (if asked): the contending pair shares the downlink
   // queue, so the link-level recorder's columns are grafted onto both
@@ -927,7 +895,7 @@ ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
     // Tunnel flows never stop early, so the measured sink's lifetime total
     // IS the whole-run ledger the demux keeps in the generic topology.
     fr.delivered_bytes = m.total_bytes();
-    fr.delay_hist = m.histogram();
+    fr.delay_hist = m.delay_histogram(kDelayHistBin, kDelayHistMax, from, to);
     if (rec != nullptr) {
       fr.timeline = rec->finalize(&down_link.trace(), tunnel_link_rec.get());
     }

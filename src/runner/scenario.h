@@ -126,6 +126,11 @@ struct UserMixEntry {
   double weight = 1.0;
 };
 
+// Delay-histogram geometry: the tower's streaming CDFs by default, and the
+// FlowResult::delay_hist every other topology bins from its records.
+inline constexpr Duration kDelayHistBin = msec(5);
+inline constexpr Duration kDelayHistMax = sec(20);
+
 // A cell tower serving a churning population: N per-user downlink queues
 // scheduled by the proportional-fair rule, each user's radio channel an
 // independent synth-model rate process, users arriving under a Poisson
@@ -152,8 +157,8 @@ struct TowerSpec {
   // weights.
   std::vector<UserMixEntry> mix = {UserMixEntry{}};
   // Streaming delay-histogram geometry (per-user and population CDFs).
-  Duration hist_bin = msec(5);
-  Duration hist_max = sec(20);
+  Duration hist_bin = kDelayHistBin;
+  Duration hist_max = kDelayHistMax;
 };
 
 // How many flows, and how they share the emulated queues.

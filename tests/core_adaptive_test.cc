@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <random>
+#include <vector>
 
 #include "core/adaptive.h"
+#include "runner/scenario.h"
 
 namespace sprout {
 namespace {
@@ -183,6 +187,52 @@ TEST(Adaptive, SingleHypothesisDegeneratesToBayesian) {
   for (int h = 1; h <= fa.ticks(); ++h) {
     EXPECT_EQ(fa.cumulative_at(h), fp.cumulative_at(h)) << "h=" << h;
   }
+}
+
+// End-to-end identity pin for Sprout-Adaptive, the one scheme whose tick
+// still evolves its filters (five per endpoint).  The numbers were recorded
+// from a build that batch-evolved same-instant filters across the scenario;
+// the per-filter evolve must reproduce them, so any change in the bank's
+// evolve/observe/forecast arithmetic shows here.  Throughput and delay are
+// compared to 1e-9 relative (printed to 17 digits), packets exactly.
+struct AdaptivePin {
+  int flows = 1;
+  std::int64_t packets_delivered = 0;
+  std::vector<double> throughput_kbps;  // per flow
+  std::vector<double> delay95_ms;       // per flow
+};
+
+void expect_pinned(const AdaptivePin& pin) {
+  ScenarioSpec spec;
+  spec.scheme = SchemeId::kSproutAdaptive;
+  spec.link = LinkSpec::preset("Verizon LTE", LinkDirection::kDownlink);
+  spec.run_time = sec(12);
+  spec.warmup = sec(3);
+  spec.seed = 42;
+  if (pin.flows > 1) spec.topology = TopologySpec::shared_queue(pin.flows);
+  const ScenarioResult r = run_scenario(spec);
+  ASSERT_EQ(r.flows.size(), static_cast<std::size_t>(pin.flows));
+  EXPECT_EQ(r.packets_delivered, pin.packets_delivered);
+  for (std::size_t i = 0; i < r.flows.size(); ++i) {
+    SCOPED_TRACE(i);
+    const FlowResult& fr = r.flows[i];
+    EXPECT_NEAR(fr.throughput_kbps, pin.throughput_kbps[i],
+                1e-9 * pin.throughput_kbps[i])
+        << std::setprecision(17) << fr.throughput_kbps;
+    EXPECT_NEAR(fr.delay95_ms, pin.delay95_ms[i], 1e-9 * pin.delay95_ms[i])
+        << std::setprecision(17) << fr.delay95_ms;
+  }
+}
+
+TEST(AdaptiveIdentity, SingleFlowMatchesPinnedResult) {
+  expect_pinned({1, 1200, {786.66666666666663}, {84.159899864228422}});
+}
+
+TEST(AdaptiveIdentity, SharedQueueMatchesPinnedResult) {
+  expect_pinned({2,
+                 2213,
+                 {601.42222222222222, 784.3555555555555},
+                 {159.20459974481903, 154.43466641251283}});
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -238,21 +241,20 @@ TEST(Recorder, PrePr10SweepFileRoundTripsByteIdentically) {
   EXPECT_EQ(out.str(), original);
 }
 
-// ROADMAP 5(b): the histogram maintained alongside retained records pins
-// every percentile within one bin width ABOVE the exact per-packet answer
+// ROADMAP 5(b): the histogram binned from retained records pins every
+// percentile within one bin width ABOVE the exact per-packet answer
 // (upper-edge quantiles: never below, less than one bin above).
 TEST(DelayPercentiles, HistogramWithinOneBinOfRetainedRecords) {
   FlowMetrics m;
   const TimePoint from = at(0.0);
   const TimePoint to = at(100.0);
-  m.enable_histogram(msec(5), sec(20), from, to);
   // 400 packets with delays 1..400 ms: exact percentiles are easy to pin
   // and span many 5 ms bins.
   for (int i = 1; i <= 400; ++i) {
     const TimePoint sent = at(0.1 * i);
     m.record(DeliveryRecord{sent, sent + msec(i), 1500});
   }
-  const DelayHistogram& h = m.histogram();
+  const DelayHistogram h = m.delay_histogram(msec(5), sec(20), from, to);
   ASSERT_TRUE(h.configured());
   ASSERT_EQ(h.samples(), 400);
   // Retained records stay available alongside the histogram.
@@ -271,6 +273,72 @@ TEST(DelayPercentiles, HistogramWithinOneBinOfRetainedRecords) {
     EXPECT_LE(binned, nearest_rank + h.bin_width_ms());
   }
   EXPECT_DOUBLE_EQ(h.mean_ms(), 200.5);
+}
+
+// delay_histogram is the streaming histogram computed after the fact: the
+// same [from, to) receive-time test over the same delivery order, so the
+// counts, sample count and floating-point delay sum match bit for bit a
+// histogram fed add() per in-window delivery, and one streamed live.
+TEST(DelayPercentiles, DelayHistogramMatchesPerDeliveryAdds) {
+  const TimePoint from = at(2.0);
+  const TimePoint to = at(9.0);
+  std::vector<DeliveryRecord> deliveries;
+  // Irregular sub-millisecond delays make the sum order-sensitive; a few
+  // exceed the 20 s range and land in the overflow bin.
+  for (int i = 0; i < 500; ++i) {
+    const TimePoint received = at(0.0) + usec(23'017 * i);
+    const Duration delay = usec(137 + (i * 7'919) % 61'003) +
+                           (i % 97 == 0 ? sec(21) : Duration::zero());
+    deliveries.push_back(DeliveryRecord{received - delay, received, 1400});
+  }
+  // Window edges: a delivery exactly at `from` counts, one exactly at `to`
+  // does not.
+  deliveries.push_back(DeliveryRecord{from - usec(4'321), from, 1400});
+  deliveries.push_back(DeliveryRecord{to - usec(8'765), to, 1400});
+  std::sort(deliveries.begin(), deliveries.end(),
+            [](const DeliveryRecord& a, const DeliveryRecord& b) {
+              return a.received_at < b.received_at;
+            });
+
+  FlowMetrics retained;
+  FlowMetrics streamed;
+  streamed.enable_streaming(msec(5), sec(20), from, to);
+  DelayHistogram added(msec(5), sec(20));
+  int at_from = 0;
+  int at_to = 0;
+  for (const DeliveryRecord& r : deliveries) {
+    retained.record(r);
+    streamed.record(r);
+    if (r.received_at >= from && r.received_at < to) {
+      added.add(r.received_at - r.sent_at);
+    }
+    at_from += r.received_at == from ? 1 : 0;
+    at_to += r.received_at == to ? 1 : 0;
+  }
+  ASSERT_EQ(at_from, 1);
+  ASSERT_EQ(at_to, 1);
+
+  const DelayHistogram binned =
+      retained.delay_histogram(msec(5), sec(20), from, to);
+  ASSERT_GT(added.samples(), 0);
+  ASSERT_GT(added.counts().back(), 0);  // the overflow bin is exercised
+  const DelayHistogram* const references[] = {&added, &streamed.histogram()};
+  for (const DelayHistogram* h : references) {
+    EXPECT_EQ(binned.counts(), h->counts());
+    EXPECT_EQ(binned.samples(), h->samples());
+    // Bitwise, not approximately: same additions in the same order.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(binned.sum_ms()),
+              std::bit_cast<std::uint64_t>(h->sum_ms()))
+        << binned.sum_ms() << " vs " << h->sum_ms();
+  }
+  // The window edges decide membership: widening `to` past the delivery
+  // at `to` takes it in, narrowing `from` past the one at `from` drops it.
+  EXPECT_EQ(retained.delay_histogram(msec(5), sec(20), from, to + usec(1))
+                .samples(),
+            binned.samples() + 1);
+  EXPECT_EQ(retained.delay_histogram(msec(5), sec(20), from + usec(1), to)
+                .samples(),
+            binned.samples() - 1);
 }
 
 // Every non-streaming topology's FlowResult now carries a populated
