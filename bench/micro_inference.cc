@@ -61,10 +61,10 @@ BENCHMARK(BM_FilterObserve);
 
 // --- the PR-6 fast paths, measured against their exact references ---
 
-// Banded evolve (the default) vs the dense bins² pass, at the paper's 256
-// bins and a coarser grid.  A realistic non-degenerate posterior: the
-// filter locked near 500 pps, so the banded path's row skipping and the
-// kernel dispatch both engage as in production.
+// Banded evolve at the paper's 256 bins and a coarser grid (the dense
+// reference is timed by bench/perf_trajectory).  A realistic non-degenerate
+// posterior: the filter locked near 500 pps, so the banded path's row
+// skipping and the kernel dispatch both engage as in production.
 void evolve_bench_dist(const SproutParams& params, RateDistribution& d) {
   SproutBayesFilter filter(params);
   for (int t = 0; t < 50; ++t) {
@@ -86,18 +86,6 @@ void BM_EvolveBanded(benchmark::State& state) {
   state.counters["mean_bandwidth"] = m.mean_bandwidth();
 }
 BENCHMARK(BM_EvolveBanded)->Arg(64)->Arg(256);
-
-void BM_EvolveDense(benchmark::State& state) {
-  SproutParams params;
-  params.num_bins = static_cast<int>(state.range(0));
-  TransitionMatrix m(params);
-  RateDistribution d(params.num_bins);
-  evolve_bench_dist(params, d);
-  for (auto _ : state) {
-    m.evolve_dense(d);
-  }
-}
-BENCHMARK(BM_EvolveDense)->Arg(64)->Arg(256);
 
 // Batched multi-flow evolve vs N serial banded evolves at the same states.
 void BM_EvolveBatch(benchmark::State& state) {

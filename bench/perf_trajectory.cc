@@ -1,7 +1,9 @@
 // Perf-trajectory tracker for the inference fast paths (PR 6 onward).
 //
-// Measures the banded evolve kernel against the exact dense reference and
-// the batched multi-flow evolve against N serial evolves, then emits one
+// Measures the banded evolve kernel against a naive dense p·M (a bins²
+// loop over a row-major copy of the exact ε = 0 matrix, built here: the
+// library itself has one evolve arithmetic, the banded kernel) and the
+// batched multi-flow evolve against N serial evolves, then emits one
 // machine-readable BENCH_<n>.json artifact.  Checked-in artifacts form the
 // repo's perf trajectory: each perf PR adds a BENCH_<n>.json, and CI's
 // bench-smoke job re-measures the current tree against the floors recorded
@@ -190,6 +192,37 @@ RateDistribution locked_posterior(const SproutParams& params, int per_tick) {
   return filter.distribution();
 }
 
+// The exact (ε = 0) kernel's rows as a row-major bins² copy: the dense
+// reference the banded evolve's floor is measured against.
+std::vector<double> dense_rows(SproutParams params) {
+  params.band_epsilon = 0.0;
+  const TransitionMatrix exact(params);
+  const auto n = static_cast<std::size_t>(exact.num_bins());
+  std::vector<double> rows(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      rows[i * n + j] =
+          exact.entry(static_cast<int>(i), static_cast<int>(j));
+    }
+  }
+  return rows;
+}
+
+// p <- p · M over every entry of the row-major `rows`, through `scratch`.
+void naive_evolve(const std::vector<double>& rows, RateDistribution& dist,
+                  std::vector<double>& scratch) {
+  const auto n = static_cast<std::size_t>(dist.num_bins());
+  scratch.assign(n, 0.0);
+  const std::vector<double>& p = dist.probabilities();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pi = p[i];
+    if (pi <= 0.0) continue;
+    const double* row = &rows[i * n];
+    for (std::size_t j = 0; j < n; ++j) scratch[j] += pi * row[j];
+  }
+  dist.mutable_probabilities() = scratch;
+}
+
 // Times one 8-horizon forecast from a posterior locked on `per_tick`
 // packets per tick under `params`.
 double forecast_ns(const SproutParams& params, double min_time_s,
@@ -256,10 +289,12 @@ int run(const Options& opt) {
   // --- banded vs dense, single posterior ---
   RateDistribution banded_dist = locked_posterior(params, 10);
   RateDistribution dense_dist = banded_dist;
+  const std::vector<double> rows = dense_rows(params);
+  std::vector<double> scratch;
   const double banded_ns =
       time_ns(opt.min_time_s, [&] { matrix.evolve(banded_dist); });
-  const double dense_ns =
-      time_ns(opt.min_time_s, [&] { matrix.evolve_dense(dense_dist); });
+  const double dense_ns = time_ns(
+      opt.min_time_s, [&] { naive_evolve(rows, dense_dist, scratch); });
   const double banded_speedup = dense_ns / banded_ns;
 
   // --- obs-on overhead on the banded evolve (best of three attempts) ---

@@ -82,8 +82,8 @@ void tally_dot_calls(std::int64_t calls) {
 }
 
 // Per-forecast tallies: the forecast, one banded evolve per horizon step
-// whether its pass is partial or full (the dense reference path counts its
-// own), and the step columns actually computed.
+// whether its pass is partial or full, and the step columns actually
+// computed.
 void count_forecast(int banded_steps, std::int64_t columns) {
   static obs::Counter& forecasts =
       obs::Registry::instance().counter("forecast.single");
@@ -244,7 +244,8 @@ ByteCount DeliveryForecast::cumulative_at(int t) const {
 DeliveryForecaster::DeliveryForecaster(const SproutParams& params)
     : params_(params),
       transitions_(TransitionMatrixCache::get(params)),
-      cdf_(ForecastTableCache::get(params)) {}
+      cdf_(params.count_noise_in_forecast ? ForecastTableCache::get(params)
+                                          : nullptr) {}
 
 int DeliveryForecaster::rate_packets(std::size_t bin, int horizon) const {
   const auto last = static_cast<std::size_t>(params_.num_bins - 1);
@@ -327,17 +328,6 @@ DeliveryForecast DeliveryForecaster::forecast(
     f.cumulative_bytes.push_back(static_cast<ByteCount>(packets) *
                                  params_.mtu);
   };
-  if (params_.dense_inference) {
-    // The exact-reference path: every step one full dense evolve.
-    RateDistribution evolved = current;
-    for (int h = 1; h <= horizon; ++h) {
-      transitions_->evolve_dense(evolved);
-      if (h == 1 && first_step != nullptr) *first_step = evolved;
-      emit(quantile_packets(evolved, h, floor_packets));
-    }
-    if (obs::enabled()) count_forecast(0, 0);
-    return f;
-  }
   const auto bins = static_cast<std::size_t>(params_.num_bins);
   HorizonSteps steps(*transitions_, current, horizon);
   if (first_step != nullptr && horizon > 0) {

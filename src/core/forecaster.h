@@ -6,10 +6,12 @@
 // ticks.  Per the paper: the distribution is evolved forward WITHOUT
 // observation to each tick, and at each tick the cumulative-delivery
 // distribution is the λ-mixture of Poisson(λ·h·τ) laws; the forecast takes
-// its (100-confidence)th percentile.  Poisson CDF tables for every
-// (bin, horizon) pair are precomputed at startup, so the runtime cost per
+// its (100-confidence)th percentile.  For that mixture quantile
+// (count_noise_in_forecast) Poisson CDF tables for every (bin, horizon) pair
+// are precomputed when the forecaster is built, so the runtime cost per
 // horizon is a weighted sum over bins inside a binary search (the paper's
-// "only work at runtime is to take a weighted sum over each λ").
+// "only work at runtime is to take a weighted sum over each λ").  The
+// default rate quantile reads no tables.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +82,8 @@ class DeliveryForecaster {
   // the bits a full evolve gives it, so the forecast is bit-identical to
   // evolving every step in full.  Step 1 when `first_step` is wanted, and
   // every step of the mixture quantile (whose dot reads the whole support),
-  // are computed in full.  Under dense_inference each step is one full
-  // dense evolve.
+  // are computed in full.  Under dense_inference the kernel is the ε = 0
+  // band, so every step holds the exact dense p·M bits.
   [[nodiscard]] DeliveryForecast forecast(
       const RateDistribution& current, TimePoint now,
       RateDistribution* first_step = nullptr) const;
@@ -107,7 +109,9 @@ class DeliveryForecaster {
   [[nodiscard]] int rate_packets(std::size_t bin, int horizon) const;
 
   SproutParams params_;
-  // Shared, immutable kernel and CDF tables from the process-wide caches.
+  // Shared, immutable kernel and CDF tables from the process-wide caches;
+  // the tables only under count_noise_in_forecast, the one quantile that
+  // reads them (null otherwise).
   std::shared_ptr<const TransitionMatrix> transitions_;
   std::shared_ptr<const ForecastTableCache::Tables> cdf_;
 };

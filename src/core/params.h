@@ -44,9 +44,9 @@ struct SproutParams {
   // ε bounds the per-tick model perturbation (the golden-metrics lock
   // verifies the end-to-end effect stays inside its tolerance).
   double band_epsilon = 1e-12;
-  // Exact-reference escape hatch: evolve through the full dense matrix,
-  // exactly the pre-banding arithmetic, for golden regeneration and
-  // banded-vs-dense equivalence tests.
+  // Exact inference: evolve through the band at ε = 0, which trims only
+  // exact zeros and keeps every other entry unscaled, so it gives the full
+  // dense p·M bits.  For golden regeneration and banded-vs-exact tests.
   bool dense_inference = false;
 
   // --- sender (§3.4-3.5) ---
@@ -59,6 +59,10 @@ struct SproutParams {
   ByteCount heartbeat_bytes = 50;       // idle keepalive size
 
   [[nodiscard]] double tick_seconds() const { return to_seconds(tick); }
+  // The ε the transition kernel is banded at.
+  [[nodiscard]] double effective_band_epsilon() const {
+    return dense_inference ? 0.0 : band_epsilon;
+  }
   // Rate represented by bin i (bins sample [0, max] uniformly; bin 0 is the
   // outage state).
   [[nodiscard]] double bin_rate(int i) const {

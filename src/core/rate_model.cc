@@ -23,15 +23,14 @@ double phi(double x) { return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0))); }
 
 // The SproutParams fields the transition kernel depends on.  Forecast and
 // sender knobs do NOT appear: a confidence sweep or lookahead ablation
-// shares one matrix.  band_epsilon does — it shapes the packed band — but
-// dense_inference does not: the dense rows are identical either way, so an
-// exact-reference run shares the banded run's matrix build.
+// shares one matrix.  The effective band ε does — it shapes the packed
+// band — so a dense_inference run shares the ε = 0 run's matrix build.
 using MatrixKey = std::tuple<int, double, std::int64_t, double, double, double>;
 
 MatrixKey matrix_key(const SproutParams& params) {
   return {params.num_bins,          params.max_rate_pps,
           params.tick.count(),      params.sigma_pps_per_sqrt_s,
-          params.outage_escape_rate_per_s, params.band_epsilon};
+          params.outage_escape_rate_per_s, params.effective_band_epsilon()};
 }
 
 std::mutex& matrix_cache_mutex() {
@@ -139,11 +138,12 @@ double RateDistribution::quantile(const SproutParams& params,
 }
 
 TransitionMatrix::TransitionMatrix(const SproutParams& params)
-    : n_(static_cast<std::size_t>(params.num_bins)), m_(n_ * n_, 0.0) {
+    : n_(static_cast<std::size_t>(params.num_bins)) {
   const double s =
       params.sigma_pps_per_sqrt_s * std::sqrt(params.tick_seconds());
+  const double epsilon = params.effective_band_epsilon();
   assert(s > 0.0);
-  assert(params.band_epsilon >= 0.0 && params.band_epsilon < 0.1);
+  assert(epsilon >= 0.0 && epsilon < 0.1);
   const double bin_width = params.bin_rate(1) - params.bin_rate(0);
 
   // Gaussian step discretized over bin cells, with a REFLECTING boundary at
@@ -166,8 +166,10 @@ TransitionMatrix::TransitionMatrix(const SproutParams& params)
     }
   };
 
+  // Row-major rows[from * n + to], consumed by build_band.
+  std::vector<double> rows(n_ * n_, 0.0);
   for (std::size_t i = 1; i < n_; ++i) {
-    gaussian_row(params.bin_rate(static_cast<int>(i)), &m_[i * n_]);
+    gaussian_row(params.bin_rate(static_cast<int>(i)), &rows[i * n_]);
   }
 
   // Outage row (λ = 0): sticky.  With probability exp(-λz τ) the outage
@@ -181,23 +183,24 @@ TransitionMatrix::TransitionMatrix(const SproutParams& params)
   esc_row[0] = 0.0;  // escaped: must leave the outage bin
   const double esc_sum = std::accumulate(esc_row.begin(), esc_row.end(), 0.0);
   assert(esc_sum > 0.0);
-  m_[0] = 1.0 - escape;
+  rows[0] = 1.0 - escape;
   for (std::size_t j = 1; j < n_; ++j) {
-    m_[j] = escape * esc_row[j] / esc_sum;
+    rows[j] = escape * esc_row[j] / esc_sum;
   }
 
   // Each row must be a probability distribution.
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = m_.data() + i * n_;
+    const double* row = rows.data() + i * n_;
     double sum = std::accumulate(row, row + n_, 0.0);
     assert(std::abs(sum - 1.0) < 1e-9);
-    for (std::size_t j = 0; j < n_; ++j) m_[i * n_ + j] /= sum;
+    for (std::size_t j = 0; j < n_; ++j) rows[i * n_ + j] /= sum;
   }
 
-  build_band(params.band_epsilon);
+  build_band(rows, epsilon);
 }
 
-void TransitionMatrix::build_band(double epsilon) {
+void TransitionMatrix::build_band(const std::vector<double>& rows,
+                                  double epsilon) {
   band_epsilon_ = epsilon;
   band_lo_.resize(n_);
   band_hi_.resize(n_);
@@ -205,7 +208,7 @@ void TransitionMatrix::build_band(double epsilon) {
   std::size_t packed = 0;
   std::int64_t total_width = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = &m_[i * n_];
+    const double* row = &rows[i * n_];
     // Greedy tail trim: drop the smaller end entry while the total dropped
     // mass stays within ε.  Rows are unimodal up to the outage column, so
     // end entries are the smallest; trimming them first loses the least.
@@ -233,7 +236,7 @@ void TransitionMatrix::build_band(double epsilon) {
   band_off_[n_] = packed;
   band_.resize(packed);
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = &m_[i * n_];
+    const double* row = &rows[i * n_];
     const auto lo = static_cast<std::size_t>(band_lo_[i]);
     const auto hi = static_cast<std::size_t>(band_hi_[i]);
     // Renormalize the retained span so every band row is still a
@@ -241,7 +244,7 @@ void TransitionMatrix::build_band(double epsilon) {
     // leak ε per tick).  A trim that only removed EXACT zeros (always the
     // case at ε = 0: far Gaussian tails underflow) must copy the row
     // verbatim — dividing by a summed "kept" that is not exactly 1.0 would
-    // perturb bits the dense path keeps.
+    // perturb the exact p·M bits dense_inference promises.
     double dropped = 0.0;
     for (std::size_t j = 0; j < lo; ++j) dropped += row[j];
     for (std::size_t j = hi; j < n_; ++j) dropped += row[j];
@@ -330,29 +333,6 @@ void TransitionMatrix::evolve(RateDistribution& dist) const {
   }
   RateDistribution* const one[] = {&dist};
   evolve_in_place(one);
-}
-
-void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
-  assert(static_cast<std::size_t>(dist.num_bins()) == n_);
-  if (obs::enabled()) {
-    static obs::Counter& evolves =
-        obs::Registry::instance().counter("filter.evolve.dense");
-    evolves.add();
-  }
-  // Thread-local scratch keeps the matrix itself immutable, so one cached
-  // instance is safely shared across concurrent sweep cells.
-  thread_local std::vector<double> scratch;
-  scratch.assign(n_, 0.0);
-  const std::vector<double>& p = dist.probabilities();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double pi = p[i];
-    if (pi <= 0.0) continue;
-    const double* row = &m_[i * n_];
-    for (std::size_t j = 0; j < n_; ++j) {
-      scratch[j] += pi * row[j];
-    }
-  }
-  dist.mutable_probabilities() = scratch;
 }
 
 void TransitionMatrix::evolve_batch(
@@ -464,7 +444,7 @@ void SproutBayesFilter::evolve() {
     batch_evolved_ = false;
     return;
   }
-  evolve_dist(*transitions_, params_, dist_);
+  transitions_->evolve(dist_);
 }
 
 void SproutBayesFilter::adopt_evolved(RateDistribution& evolved) {
@@ -488,18 +468,12 @@ void SproutBayesFilter::evolve_batch(
     SproutBayesFilter* lead = pending[g];
     if (lead == nullptr) continue;
     assert(!lead->batch_evolved_);
-    if (lead->params_.dense_inference) {
-      // Exact-reference filters keep the historical dense pass.
-      lead->transitions_->evolve_dense(lead->dist_);
-      lead->batch_evolved_ = true;
-      continue;
-    }
     group.clear();
     group.push_back(&lead->dist_);
     for (std::size_t o = g + 1; o < pending.size(); ++o) {
       SproutBayesFilter* other = pending[o];
-      if (other == nullptr || other->params_.dense_inference) continue;
-      if (other->transitions_.get() == lead->transitions_.get()) {
+      if (other != nullptr &&
+          other->transitions_.get() == lead->transitions_.get()) {
         assert(!other->batch_evolved_);
         group.push_back(&other->dist_);
         other->batch_evolved_ = true;

@@ -68,18 +68,15 @@ class RateDistribution {
 // safely shared across filters, forecasters and sweep threads — see
 // TransitionMatrixCache below.
 //
-// Two evolution paths are built from the same Gaussian rows:
-//  * banded (default): per-row [lo, hi) extents retaining ≥ 1−ε of the
-//    row's mass (ε = SproutParams::band_epsilon), packed contiguously and
-//    renormalized, then repacked into 4-column block tiles and evolved in
-//    O(bins · bandwidth) by kernels::weighted_sum4 (util/kernels.h) — the
-//    same kernel for one flow, for a batch, and for any range of output
-//    column blocks (evolve_blocks);
-//  * dense: the full bins² pass, bit-for-bit the historical arithmetic,
-//    kept as the exact-reference path (SproutParams::dense_inference).
-// ε = 0 trims only entries that are EXACTLY zero (underflowed Gaussian
-// tails) and skips renormalization, making the banded path bit-identical
-// to the dense one.
+// The Gaussian rows are stored banded: per-row [lo, hi) extents retaining
+// ≥ 1−ε of the row's mass (ε = SproutParams::effective_band_epsilon),
+// packed contiguously and renormalized, then repacked into 4-column block
+// tiles and evolved in O(bins · bandwidth) by kernels::weighted_sum4
+// (util/kernels.h) — the same kernel for one flow, for a batch, and for any
+// range of output column blocks (evolve_blocks).  ε = 0 trims only entries
+// that are EXACTLY zero (underflowed Gaussian tails) and skips
+// renormalization, so its evolve gives the full dense p·M bits: that is
+// SproutParams::dense_inference.
 class TransitionMatrix {
  public:
   explicit TransitionMatrix(const SproutParams& params);
@@ -88,9 +85,6 @@ class TransitionMatrix {
   // scratch): the batch pass run for one flow, counted as
   // "filter.evolve.banded".
   void evolve(RateDistribution& dist) const;
-
-  // p <- p * M through the full dense matrix: the exact-reference path.
-  void evolve_dense(RateDistribution& dist) const;
 
   // Pushes every distribution through one banded matrix pass: tiles stream
   // once and are applied to all flows (GEMM-shaped loop order), so N
@@ -121,8 +115,12 @@ class TransitionMatrix {
     return blocks == 0 ? 0 : static_cast<std::size_t>(rows_read_[blocks - 1]);
   }
 
+  // M[from][to] as the evolve applies it: the packed band value inside row
+  // `from`'s extent, 0.0 outside it (at ε = 0, the exact Gaussian row).
   [[nodiscard]] double entry(int from, int to) const {
-    return m_[static_cast<std::size_t>(from) * n_ + static_cast<std::size_t>(to)];
+    const auto i = static_cast<std::size_t>(from);
+    if (to < band_lo_[i] || to >= band_hi_[i]) return 0.0;
+    return band_[band_off_[i] + static_cast<std::size_t>(to - band_lo_[i])];
   }
   [[nodiscard]] int num_bins() const { return static_cast<int>(n_); }
 
@@ -136,14 +134,14 @@ class TransitionMatrix {
   [[nodiscard]] double band_epsilon() const { return band_epsilon_; }
 
  private:
-  void build_band(double epsilon);
+  // Packs the row-major Gaussian `rows` into the band.
+  void build_band(const std::vector<double>& rows, double epsilon);
   void build_blocks();
   // evolve_blocks over all blocks, clipped to the flows' joint support, in
   // place through thread-local scratch (uncounted).
   void evolve_in_place(std::span<RateDistribution* const> dists) const;
 
   std::size_t n_;
-  std::vector<double> m_;  // row-major: m_[from][to], exact rows
   // Packed band: row i's entries for columns [band_lo_[i], band_hi_[i])
   // live at band_[band_off_[i]...], renormalized to unit row mass.
   std::vector<double> band_;
@@ -166,23 +164,13 @@ class TransitionMatrix {
   std::vector<int> rows_read_;  // prefix max of block_row_end_
 };
 
-// Routes one evolve through the path `params` selects: the banded fast
-// kernel by default, the dense exact-reference pass under dense_inference.
-inline void evolve_dist(const TransitionMatrix& m, const SproutParams& params,
-                        RateDistribution& dist) {
-  if (params.dense_inference) {
-    m.evolve_dense(dist);
-  } else {
-    m.evolve(dist);
-  }
-}
-
 // Process-wide cache of transition matrices, keyed by the SproutParams
-// fields that determine the kernel (bins, rate grid, tick, σ, λz, band ε) —
-// the same pattern as the forecaster's Poisson-CDF ForecastTableCache.
-// Building a matrix is ~num_bins² Gaussian integrals and every simulation
-// constructs at least three (sender filter, receiver filter, forecaster);
-// the cache makes that one build per distinct parameter set per process.
+// fields that determine the kernel (bins, rate grid, tick, σ, λz, effective
+// band ε) — the same pattern as the forecaster's Poisson-CDF
+// ForecastTableCache.  Building a matrix is ~num_bins² Gaussian integrals
+// and every simulation constructs at least three (sender filter, receiver
+// filter, forecaster); the cache makes that one build per distinct
+// parameter set per process.
 // Reuse is observable through the obs registry counters
 // "cache.transition_matrix.hits" / ".misses" (src/obs/metrics.h).
 class TransitionMatrixCache {
@@ -212,8 +200,7 @@ class SproutBayesFilter {
   // are grouped by their (cache-shared) TransitionMatrix; each group runs
   // TransitionMatrix::evolve_batch, and each batched filter's next evolve()
   // call becomes a no-op, so a caller can hoist just the evolution ahead of
-  // per-filter tick logic it cannot reorder.  Filters under dense_inference
-  // evolve individually (exact reference).  Bit-identical to calling
+  // per-filter tick logic it cannot reorder.  Bit-identical to calling
   // evolve() on each filter in order.  No simulation path batches filters;
   // the perf benchmarks (bench/perf_trajectory, perfbench) time it.
   static void evolve_batch(std::span<SproutBayesFilter* const> filters);

@@ -1,11 +1,15 @@
 #include "core/rate_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/forecaster.h"
 #include "obs/metrics.h"
 #include "util/kernels.h"
 
@@ -27,6 +31,28 @@ SproutParams small_params() {
   SproutParams p;
   p.num_bins = 64;  // faster tests, same math
   return p;
+}
+
+// The exact (ε = 0) kernel for `p`'s model: its rows are the full Gaussian
+// rows, so naive_step over it is the dense p·M.
+std::shared_ptr<const TransitionMatrix> exact_matrix(SproutParams p) {
+  p.band_epsilon = 0.0;
+  return TransitionMatrixCache::get(p);
+}
+
+// The naive p·M reference: the full bins² pass over a matrix's rows, every
+// product added in ascending-row order from +0.0.
+RateDistribution naive_step(const TransitionMatrix& m,
+                            const RateDistribution& d) {
+  RateDistribution out(d.num_bins());
+  std::vector<double>& q = out.mutable_probabilities();
+  std::fill(q.begin(), q.end(), 0.0);
+  for (int i = 0; i < m.num_bins(); ++i) {
+    const double pi = d.probability(i);
+    if (pi <= 0.0) continue;
+    for (int j = 0; j < m.num_bins(); ++j) q[j] += pi * m.entry(i, j);
+  }
+  return out;
 }
 
 TEST(RateDistribution, UniformPriorAtStartup) {
@@ -248,11 +274,14 @@ TEST(TransitionMatrixCache, BandEpsilonKeysTheCache) {
   tighter.band_epsilon = 1e-15;
   const auto b = TransitionMatrixCache::get(tighter);
   EXPECT_NE(a.get(), b.get());
-  // dense_inference is NOT part of the key: the matrix stores both paths.
+  // dense_inference keys as ε = 0: it shares the exact matrix, not the
+  // default band.
   SproutParams dense = p;
   dense.dense_inference = true;
   const auto c = TransitionMatrixCache::get(dense);
-  EXPECT_EQ(a.get(), c.get());
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(c.get(), exact_matrix(p).get());
+  EXPECT_EQ(c->band_epsilon(), 0.0);
 }
 
 // --- banded fast path ----------------------------------------------------
@@ -260,6 +289,7 @@ TEST(TransitionMatrixCache, BandEpsilonKeysTheCache) {
 TEST(BandedEvolve, BandsRetainTheRowMassBudget) {
   const SproutParams p = small_params();
   TransitionMatrix m(p);
+  const auto exact = exact_matrix(p);
   EXPECT_DOUBLE_EQ(m.band_epsilon(), p.band_epsilon);
   EXPECT_GT(m.max_bandwidth(), 0);
   // Banding must actually trim: a per-tick σ of a few bins leaves most of
@@ -269,7 +299,7 @@ TEST(BandedEvolve, BandsRetainTheRowMassBudget) {
     const auto [lo, hi] = m.row_extent(i);
     ASSERT_LT(lo, hi) << "row " << i;
     double kept = 0.0;
-    for (int j = lo; j < hi; ++j) kept += m.entry(i, j);
+    for (int j = lo; j < hi; ++j) kept += exact->entry(i, j);
     EXPECT_GE(kept, 1.0 - p.band_epsilon - 1e-15) << "row " << i;
   }
 }
@@ -282,14 +312,14 @@ TEST(BandedEvolve, MatchesDenseWithinEpsilonBudget) {
     SproutParams p = small_params();
     p.band_epsilon = eps;
     TransitionMatrix m(p);
+    const auto exact = exact_matrix(p);
     for (const int start : {0, 1, 17, 32, 62, 63}) {
       RateDistribution banded(p.num_bins);
       auto& probs = banded.mutable_probabilities();
       std::fill(probs.begin(), probs.end(), 0.0);
       probs[static_cast<std::size_t>(start)] = 1.0;
-      RateDistribution dense = banded;
+      const RateDistribution dense = naive_step(*exact, banded);
       m.evolve(banded);
-      m.evolve_dense(dense);
       for (int j = 0; j < p.num_bins; ++j) {
         EXPECT_NEAR(banded.probability(j), dense.probability(j), 4.0 * eps)
             << "eps=" << eps << " start=" << start << " j=" << j;
@@ -300,17 +330,18 @@ TEST(BandedEvolve, MatchesDenseWithinEpsilonBudget) {
 
 TEST(BandedEvolve, SteadyStateStaysClosedToDense) {
   // Closed-loop divergence check: run a full filter (evolve + observe) down
-  // both paths for many ticks and compare the posteriors.
+  // the banded path and down the naive dense reference for many ticks and
+  // compare the posteriors.
   SproutParams banded_params;  // full 256 bins, default ε
-  SproutParams dense_params = banded_params;
-  dense_params.dense_inference = true;
+  const auto exact = exact_matrix(banded_params);
   SproutBayesFilter banded(banded_params);
-  SproutBayesFilter dense(dense_params);
+  SproutBayesFilter dense(banded_params);
   for (int t = 0; t < 300; ++t) {
     const int obs = t < 150 ? 10 : 0;  // steady rate, then an outage
     banded.evolve();
     banded.observe(obs);
-    dense.evolve();
+    RateDistribution step = naive_step(*exact, dense.distribution());
+    dense.adopt_evolved(step);
     dense.observe(obs);
   }
   EXPECT_NEAR(banded.mean_rate_pps(), dense.mean_rate_pps(), 1e-6);
@@ -332,7 +363,7 @@ TEST(BandedEvolve, ZeroEpsilonIsBitIdenticalToDense) {
   RateDistribution dense(p.num_bins);
   for (int t = 0; t < 20; ++t) {
     m.evolve(banded);
-    m.evolve_dense(dense);
+    dense = naive_step(m, dense);
   }
   for (int j = 0; j < p.num_bins; ++j) {
     EXPECT_EQ(banded.probability(j), dense.probability(j)) << "bin " << j;
@@ -348,7 +379,7 @@ bool same_bits(const RateDistribution& a, const RateDistribution& b) {
 TEST(TransitionMatrix, EvolveIsOneFlowOfABatch) {
   // evolve() and evolve_batch() share one block kernel: a lone evolve must
   // match its flow's slot in a two-flow batch bit for bit, in every kernel
-  // backend, and at ε = 0 it must also match the dense reference.
+  // backend, and at ε = 0 it must also match the naive dense reference.
   const std::string saved = kernels::active_backend();
   for (const char* backend : {"scalar", "avx2"}) {
     if (!kernels::force_backend(backend)) continue;
@@ -367,7 +398,6 @@ TEST(TransitionMatrix, EvolveIsOneFlowOfABatch) {
       spike.mutable_probabilities()[130] = 1.0;
       for (const RateDistribution& start : {locked.distribution(), spike}) {
         RateDistribution lone = start;
-        RateDistribution dense = start;
         RateDistribution first = start;
         RateDistribution other = locked.distribution();
         m.evolve(other);  // a different second flow
@@ -376,9 +406,82 @@ TEST(TransitionMatrix, EvolveIsOneFlowOfABatch) {
         m.evolve_batch(pair);
         EXPECT_TRUE(same_bits(lone, first)) << backend << " eps=" << eps;
         if (eps == 0.0) {
-          m.evolve_dense(dense);
-          EXPECT_TRUE(same_bits(lone, dense)) << backend;
+          EXPECT_TRUE(same_bits(lone, naive_step(m, start))) << backend;
         }
+      }
+    }
+  }
+  kernels::force_backend(saved.c_str());
+}
+
+// dense_inference is exact inference: a dense_inference filter and
+// forecaster hold the naive reference's bits on every tick of a scripted
+// run, at default params, across noise powers and kernel backends.  The
+// script mixes link-limited, censored and zero (outage) observations.
+TEST(DenseInference, FilterAndForecastMatchTheNaiveReference) {
+  const std::string saved = kernels::active_backend();
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::force_backend(backend)) continue;
+    for (const double sigma : {50.0, 200.0, 800.0}) {
+      SproutParams p;  // full 256 bins
+      p.sigma_pps_per_sqrt_s = sigma;
+      p.dense_inference = true;
+      SproutParams exact = p;
+      exact.dense_inference = false;
+      exact.band_epsilon = 0.0;
+      const auto m = TransitionMatrixCache::get(exact);
+      SproutBayesFilter dense(p);
+      SproutBayesFilter twin(exact);
+      const DeliveryForecaster forecaster(p);
+      std::mt19937_64 rng(7);
+      double rate = 10.0;  // packets per tick
+      bool outage = false;
+      for (int t = 0; t < 2000; ++t) {
+        const TimePoint now = TimePoint{} + p.tick * t;
+        // The reference forecast: naive steps, then the public quantile.
+        DeliveryForecast want;
+        {
+          RateDistribution evolved = twin.distribution();
+          int floor = 0;
+          for (int h = 1; h <= p.forecast_horizon_ticks; ++h) {
+            evolved = naive_step(*m, evolved);
+            floor = forecaster.quantile_packets(evolved, h, floor);
+            want.cumulative_bytes.push_back(static_cast<ByteCount>(floor) *
+                                            p.mtu);
+          }
+        }
+        // Even ticks take their evolve from the forecast's first step,
+        // odd ticks evolve on their own.
+        DeliveryForecast got;
+        if (t % 2 == 0) {
+          RateDistribution first(p.num_bins);
+          got = forecaster.forecast(dense.distribution(), now, &first);
+          dense.adopt_evolved(first);
+        } else {
+          got = forecaster.forecast(dense.distribution(), now);
+          dense.evolve();
+        }
+        RateDistribution step = naive_step(*m, twin.distribution());
+        twin.adopt_evolved(step);
+        ASSERT_EQ(got.cumulative_bytes, want.cumulative_bytes)
+            << backend << " sigma=" << sigma << " tick " << t;
+        ASSERT_TRUE(same_bits(dense.distribution(), twin.distribution()))
+            << backend << " sigma=" << sigma << " evolve, tick " << t;
+        // A drifting true rate with outages entered and left at random.
+        if (outage ? rng() % 20 == 0 : rng() % 100 == 0) outage = !outage;
+        rate = std::clamp(rate + std::normal_distribution<double>(0.0, 0.6)(rng),
+                          0.5, 19.5);
+        const int packets =
+            outage ? 0 : std::poisson_distribution<int>(rate)(rng);
+        if (!outage && t % 3 == 0) {
+          dense.observe_at_least(packets);
+          twin.observe_at_least(packets);
+        } else {
+          dense.observe(packets);
+          twin.observe(packets);
+        }
+        ASSERT_TRUE(same_bits(dense.distribution(), twin.distribution()))
+            << backend << " sigma=" << sigma << " observe, tick " << t;
       }
     }
   }

@@ -87,6 +87,25 @@ TEST(Experiment, BandedInferenceMatchesDenseReferenceEndToEnd) {
   }
 }
 
+TEST(Experiment, DenseInferenceRunIsPinned) {
+  // Exact (dense_inference) inference is part of the results contract: one
+  // closed-loop run's headline metrics are pinned to the bit.  The values
+  // were recorded from the full dense bins² evolve, before dense_inference
+  // became the ε = 0 band.
+  SproutParams dense;
+  dense.dense_inference = true;
+  ScenarioSpec cell = quick(SchemeId::kSprout);
+  cell.run_time = sec(30);
+  cell.warmup = sec(5);
+  cell.seed = 7;
+  cell.topology = TopologySpec::heterogeneous_queue(
+      {FlowSpec::of(SchemeId::kSprout).with_params(dense)});
+  const ScenarioResult r = run_scenario(cell);
+  EXPECT_EQ(r.throughput_kbps(), 2535.1199999999999);
+  EXPECT_EQ(r.delay95_ms(), 89.501607444366442);
+  EXPECT_EQ(r.packets_delivered, 6806);
+}
+
 TEST(Experiment, OmniscientSchemeHasZeroSelfInflictedDelay) {
   const ScenarioResult r = run_scenario(quick(SchemeId::kOmniscient));
   EXPECT_NEAR(r.self_inflicted_delay_ms(), 0.0, 3.0);

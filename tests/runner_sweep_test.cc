@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "runner/scenario.h"
@@ -137,34 +139,48 @@ TEST(Sweep, TraceCacheMaterializesEachPresetOnce) {
 }
 
 TEST(Sweep, ForecasterTablesBuildOncePerDistinctParams) {
-  // All-Sprout sweep with default SproutParams: every cell builds two
-  // forecaster-backed endpoints (plus the per-cell Sprout machinery), but
-  // the Poisson CDF tables must be constructed at most once — every other
-  // lookup is a cache hit.  Counters are process-global, so measure deltas.
-  std::vector<ScenarioSpec> specs;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-    ScenarioSpec c;
-    c.scheme = SchemeId::kSprout;
-    c.link = LinkSpec::preset("Verizon LTE", LinkDirection::kDownlink);
-    c.run_time = sec(10);
-    c.warmup = sec(2);
-    c.seed = seed;
-    specs.push_back(c);
-  }
-  const std::int64_t misses_before = obs_counter("cache.forecast_tables.misses");
-  const std::int64_t hits_before = obs_counter("cache.forecast_tables.hits");
-  SweepRunner runner(SweepOptions{.threads = 4});
-  (void)runner.run(specs);
-  const std::int64_t misses =
-      obs_counter("cache.forecast_tables.misses") - misses_before;
-  const std::int64_t hits =
-      obs_counter("cache.forecast_tables.hits") - hits_before;
-  // At most one build for the default-params key (zero if an earlier test
-  // in this process already built it).
+  // The Poisson CDF tables serve only the count-noise mixture quantile.  An
+  // all-Sprout sweep under that quantile builds two forecaster-backed
+  // endpoints per cell (plus the per-cell Sprout machinery), but the tables
+  // must be constructed at most once — every other lookup is a cache hit.
+  // A default-params sweep never looks them up.  Counters are
+  // process-global, so measure deltas.
+  SproutParams mixture;
+  mixture.count_noise_in_forecast = true;
+  const auto sweep = [](const std::optional<SproutParams>& params) {
+    std::vector<ScenarioSpec> specs;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+      ScenarioSpec c;
+      c.scheme = SchemeId::kSprout;
+      c.link = LinkSpec::preset("Verizon LTE", LinkDirection::kDownlink);
+      c.run_time = sec(10);
+      c.warmup = sec(2);
+      c.seed = seed;
+      if (params) {
+        c.topology = TopologySpec::heterogeneous_queue(
+            {FlowSpec::of(SchemeId::kSprout).with_params(*params)});
+      }
+      specs.push_back(c);
+    }
+    const std::int64_t misses_before =
+        obs_counter("cache.forecast_tables.misses");
+    const std::int64_t hits_before = obs_counter("cache.forecast_tables.hits");
+    SweepRunner runner(SweepOptions{.threads = 4});
+    (void)runner.run(specs);
+    return std::pair{
+        obs_counter("cache.forecast_tables.hits") - hits_before,
+        obs_counter("cache.forecast_tables.misses") - misses_before};
+  };
+  const auto [default_hits, default_misses] = sweep(std::nullopt);
+  EXPECT_EQ(default_hits + default_misses, 0);
+  const std::int64_t cells = 4;
+  const auto [hits, misses] = sweep(mixture);
+  // At most one build for the mixture key (zero if an earlier test in this
+  // process already built it).
   EXPECT_LE(misses, 1);
   // Two endpoints per cell -> at least 2 * cells lookups, nearly all hits.
-  EXPECT_GE(hits + misses, static_cast<std::int64_t>(2 * specs.size()));
-  EXPECT_GE(hits, static_cast<std::int64_t>(2 * specs.size()) - 1);
+  EXPECT_GE(hits + misses, 2 * cells);
+  EXPECT_GE(hits, 2 * cells - 1);
 }
 
 TEST(Sweep, FingerprintCoversHeterogeneousFlowLists) {
